@@ -104,7 +104,8 @@ def is_otm(row: QuoteRow, s0: float, config: CalibConfig) -> bool:
 
 class _ObjectiveState:
     """Caches the frozen MC samplers (one per OTM maturity) so the same
-    random numbers drive every objective evaluation."""
+    random numbers drive every objective evaluation; each sampler runs
+    once per evaluation and serves every OTM row of its maturity."""
 
     def __init__(self, quotes: QuoteTable, ctx: CalibContext, config: CalibConfig):
         self.ctx = ctx
@@ -128,15 +129,16 @@ class _ObjectiveState:
             except Exception as exc:
                 raise CalibrationError(f"cosine pricing failed on rows {contracts}: {exc}") from exc
             sq_err += float(np.sum((prices - np.array([r.mid for r in self.cos_rows])) ** 2))
-        for row in self.mc_rows:
+        terminal: dict[float, np.ndarray] = {}
+        for maturity, sampler in self.samplers.items():
             try:
-                z = self.samplers[row.maturity].evaluate(theta1, theta2)
+                terminal[maturity] = ctx.s0 * np.exp(sampler.evaluate(theta1, theta2))
             except Exception as exc:
                 raise CalibrationError(
-                    f"Monte Carlo pricing failed on row (T={row.maturity}, K={row.strike}, "
-                    f"{row.kind.value}): {exc}"
+                    f"Monte Carlo pricing failed at maturity T={maturity}: {exc}"
                 ) from exc
-            s_t = ctx.s0 * np.exp(z)
+        for row in self.mc_rows:
+            s_t = terminal[row.maturity]
             if row.kind is OptionKind.CALL:
                 payoff = np.maximum(s_t - row.strike, 0.0)
             else:

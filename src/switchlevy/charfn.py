@@ -18,8 +18,18 @@ and, for a chain started in regime 1,
 
 i.e. the first entry of exp(t Phi(u)) summed across terminal regimes. At
 u = 0 this reduces to a transition-matrix row sum, hence phi(0) = 1 for
-any intensities. The matrix exponential uses scaling and squaring with a
-[6/6] Pade approximant.
+any intensities.
+
+The row sum is taken in closed form from the eigenvalues m +/- d of the
+2x2 matrix A = t Phi(u) (Moler & Van Loan 2003): with m = tr(A)/2 and
+d^2 = ((a11 - a22)/2)^2 + a12 a21,
+
+    e_1^T exp(A) [1, 1]^T = e^m [cosh d + (sinh d / d)((a11 - m) + a12)].
+
+The eigenvalues of Phi(u) have nonpositive real parts, so the exponentials
+are formed as e^{m+d} and e^{m-d}, which cannot overflow. The general
+scaling-and-squaring [6/6] Pade exponential `matrix_exp` is kept as the
+reference the closed form is tested against.
 """
 
 from __future__ import annotations
@@ -123,12 +133,37 @@ class CharFn:
             object.__setattr__(self, "y0", math.log(self.model.s0))
 
 
+def expm_row_sum(a: np.ndarray) -> np.ndarray:
+    """e_1^T exp(A) [1, 1]^T for a stack of 2x2 matrices, shape (n, 2, 2).
+
+    Closed form through the eigenvalues m +/- d of A. The cosh part is
+    (e^{m+d} + e^{m-d}) / 2, which cannot overflow when Re(m +/- d) <= 0.
+    The sinh part is (e^{m+d} - e^{m-d}) / (2d) for |d| >= 1 and
+    e^m sinh(d)/d for |d| < 1, where the difference would cancel; the
+    latter tends to e^m as d -> 0, so a defective A needs no special case.
+    """
+    a = np.asarray(a, dtype=complex)
+    if not np.all(np.isfinite(a)):
+        raise ValueError("matrix entries must be finite")
+    m = 0.5 * (a[:, 0, 0] + a[:, 1, 1])
+    h = 0.5 * (a[:, 0, 0] - a[:, 1, 1])
+    d = np.sqrt(h * h + a[:, 0, 1] * a[:, 1, 0])
+    e_plus = np.exp(m + d)
+    e_minus = np.exp(m - d)
+    small = np.abs(d) < 1.0
+    sinh_part = (e_plus - e_minus) / (2.0 * np.where(small, 1.0, d))
+    ds = d[small]
+    sinhc = np.ones_like(ds)
+    nonzero = ds != 0
+    sinhc[nonzero] = np.sinh(ds[nonzero]) / ds[nonzero]
+    sinh_part[small] = np.exp(m[small]) * sinhc
+    return 0.5 * (e_plus + e_minus) + sinh_part * (h + a[:, 0, 1])
+
+
 def switching_cf(cf: CharFn, u):
     """phi(u) = exp(i u y0) e_1^T exp(t Phi(u)) [1,1]^T; u scalar or array."""
     u_arr = np.asarray(u, dtype=complex).reshape(-1)
-    phi = phi_matrix_batch(cf.model, u_arr)
-    etphi = matrix_exp(cf.t * phi)
-    vals = np.exp(1j * u_arr * cf.y0) * (etphi[:, 0, 0] + etphi[:, 0, 1])
+    vals = np.exp(1j * u_arr * cf.y0) * expm_row_sum(cf.t * phi_matrix_batch(cf.model, u_arr))
     if np.isscalar(u) or np.asarray(u).ndim == 0:
         return complex(vals[0])
     return vals.reshape(np.asarray(u).shape)

@@ -4,7 +4,8 @@ Puts are priced by the cosine expansion of the log-moneyness density on a
 truncated interval [a, b]; calls always go through put-call parity
 (call = put + S0 - K exp(-rT)) because the direct call coefficients
 diverge for large b while the put coefficients stay bounded. The parity
-correction is applied once, after the summation.
+correction is applied once, after the summation. `price_table` is the one
+pricing kernel; `price_put`, `price_call` and `price_contract` wrap it.
 """
 
 from __future__ import annotations
@@ -114,50 +115,58 @@ def truncation_interval(cf: CharFn, config: CosConfig) -> tuple[float, float]:
     return float(c1 - half), float(c1 + half)
 
 
-def put_coefficients(strike: float, a: float, b: float, n_terms: int) -> np.ndarray:
+def put_coefficients(strike, a, b, n_terms: int) -> np.ndarray:
     """Cosine payoff coefficients V_k of the put on [a, b].
 
     V_k = 2K/(b-a) * int_a^0 (1 - e^y) cos(k pi (y-a)/(b-a)) dy, in closed
     form through the elementary exponential-cosine and cosine integrals.
     The upper limit is capped at min(0, b); an interval entirely right of
     zero carries no put payoff mass and yields all-zero coefficients.
+    strike, a and b may be arrays of one broadcast shape S; the result
+    then has shape S + (n_terms,), one coefficient row per contract.
     """
-    if not b > a:
+    strike, a, b = np.broadcast_arrays(*(np.asarray(x, dtype=float) for x in (strike, a, b)))
+    if not np.all(b > a):
         raise ValueError(f"degenerate interval [{a}, {b}]")
-    d = min(0.0, b)
-    if d <= a:
-        return np.zeros(n_terms)
-    width = b - a
-    k = np.arange(n_terms)
-    om = k * np.pi / width
-    ed = math.exp(d)
-    ea = math.exp(a)
-    chi = (np.cos(om * (d - a)) * ed + om * np.sin(om * (d - a)) * ed - ea) / (1.0 + om * om)
-    psi = np.empty(n_terms)
-    psi[0] = d - a
-    psi[1:] = np.sin(om[1:] * (d - a)) / om[1:]
-    return (2.0 * strike / width) * (psi - chi)
+    d = np.minimum(0.0, b)
+    width = (b - a)[..., None]
+    span = np.maximum(d - a, 0.0)[..., None]  # length of [a, min(0, b)]
+    om = np.arange(n_terms) * np.pi / width
+    sin = np.sin(om * span)
+    ed = np.exp(d)[..., None]
+    chi = (np.cos(om * span) * ed + om * sin * ed - np.exp(a)[..., None]) / (1.0 + om * om)
+    psi = np.empty_like(om)
+    psi[..., 0] = span[..., 0]
+    psi[..., 1:] = sin[..., 1:] / om[..., 1:]
+    coeffs = (2.0 * strike[..., None] / width) * (psi - chi)
+    return np.where(span > 0.0, coeffs, 0.0)
+
+
+def _guard_put_sums(raw: np.ndarray, strikes: np.ndarray) -> np.ndarray:
+    """Per-contract guards on discounted cosine put sums: a sum below
+    -1e-8 max(1, K) raises PricingError; a smaller negative sum is
+    truncation noise, clipped to 0 with one UserWarning per contract."""
+    too_negative = raw < -1e-8 * np.maximum(1.0, strikes)
+    if np.any(too_negative):
+        raise PricingError(
+            f"cosine sum {raw[too_negative][0]} is negative beyond truncation noise; "
+            "widen the interval or increase n_terms"
+        )
+    for value in raw[raw < 0.0]:
+        warnings.warn(f"clipping negative cosine price {value} to 0", stacklevel=3)
+    return np.where(raw < 0.0, 0.0, raw)
 
 
 def _cos_put_sum(terms: np.ndarray, coeffs: np.ndarray, disc: float, strike: float) -> float:
-    raw = disc * float(terms @ coeffs)
-    if raw < -1e-8 * max(1.0, strike):
-        raise PricingError(
-            f"cosine sum {raw} is negative beyond truncation noise; "
-            "widen the interval or increase n_terms"
-        )
-    if raw < 0.0:
-        warnings.warn(f"clipping negative cosine price {raw} to 0", stacklevel=3)
-        return 0.0
-    return raw
+    raw = np.array([disc * float(terms @ coeffs)])
+    return float(_guard_put_sums(raw, np.array([strike]))[0])
 
 
 def price_put(cf: CharFn, contract: ContractSpec, config: CosConfig = CosConfig()) -> float:
-    """COS price of a European put.
+    """COS price of a European put through `price_table`.
 
-    cf must be built with horizon = maturity and y0 = log(S0/K); the
-    strike is folded into the log-moneyness centering so the same matrix
-    exponentials serve every strike of a maturity.
+    cf must be built with horizon = maturity and y0 = log(S0/K), the
+    log-moneyness centering the pricer uses for every strike.
     """
     model = cf.model
     expected_y0 = math.log(model.s0 / contract.strike)
@@ -168,14 +177,8 @@ def price_put(cf: CharFn, contract: ContractSpec, config: CosConfig = CosConfig(
             f"cf.y0={cf.y0} is not log(s0/K)={expected_y0}; "
             "build the CF at log-moneyness for pricing"
         )
-    a, b = truncation_interval(cf, config)
-    u = np.arange(config.n_terms) * np.pi / (b - a)
-    phi = switching_cf(cf, u)
-    terms = np.real(phi * np.exp(-1j * u * a))
-    terms[0] *= 0.5
-    coeffs = put_coefficients(contract.strike, a, b, config.n_terms)
-    disc = math.exp(-model.r * contract.maturity)
-    return _cos_put_sum(terms, coeffs, disc, contract.strike)
+    put = ContractSpec(contract.strike, contract.maturity, OptionKind.PUT)
+    return float(price_table(model, [put], config)[0])
 
 
 def price_call(cf: CharFn, contract: ContractSpec, config: CosConfig = CosConfig()) -> float:
@@ -189,11 +192,8 @@ def price_call(cf: CharFn, contract: ContractSpec, config: CosConfig = CosConfig
 def price_contract(
     model: SwitchingModel, contract: ContractSpec, config: CosConfig = CosConfig()
 ) -> float:
-    """Convenience wrapper building the log-moneyness CF for one contract."""
-    cf = CharFn(model, contract.maturity, y0=math.log(model.s0 / contract.strike))
-    if contract.kind is OptionKind.PUT:
-        return price_put(cf, contract, config)
-    return price_call(cf, contract, config)
+    """COS price of one contract through `price_table`."""
+    return float(price_table(model, [contract], config)[0])
 
 
 def price_table(
@@ -201,58 +201,41 @@ def price_table(
     contracts: Sequence[ContractSpec],
     config: CosConfig = CosConfig(),
 ) -> np.ndarray:
-    """Price a grid of contracts, sharing matrix exponentials per maturity.
+    """COS prices of a grid of contracts, with one CF sweep per maturity.
 
-    The switching part of the CF does not depend on the strike, and with
-    the automatic cumulant interval the phase factor is also shared, so
-    each maturity costs one batched matrix-exponential sweep regardless
-    of the number of strikes.
+    The CF is evaluated once per maturity at y0 = 0, and the strike enters
+    only through the log-moneyness x0 = log(s0/K). With the automatic
+    interval, [a, b] is the cumulant interval of the y0 = 0 CF shifted by
+    x0, so the phase u (x0 - a) and hence the cosine terms are shared by
+    every strike; with a user interval each strike gets its own phase row.
+    All strikes of a maturity are summed at once as a (K, n_terms) matrix
+    of payoff coefficients against the terms.
     """
     prices = np.empty(len(contracts))
     by_t: dict[float, list[int]] = {}
     for i, c in enumerate(contracts):
         by_t.setdefault(c.maturity, []).append(i)
 
-    n = config.n_terms
     for maturity, idx in by_t.items():
+        strikes = np.array([contracts[i].strike for i in idx])
+        x0 = np.log(model.s0 / strikes)
         base = CharFn(model, maturity, y0=0.0)
-        disc = math.exp(-model.r * maturity)
+        a0, b0 = truncation_interval(base, config)
+        u = np.arange(config.n_terms) * np.pi / (b0 - a0)
         if config.interval is None:
-            c1z, c2, c4 = log_return_cumulants(base)
-            half = config.cumulant_scale * math.sqrt(max(c2, 0.0) + math.sqrt(abs(c4)))
-            width = 2.0 * half
-            u = np.arange(n) * np.pi / width
-            m_u = switching_cf(base, u)
-            # a_K = log(s0/K) + c1z - half, so u*(y0_K - a_K) is strike-free
-            terms = np.real(m_u * np.exp(1j * u * (half - c1z)))
-            terms[0] *= 0.5
-            for i in idx:
-                k_strike = contracts[i].strike
-                x0 = math.log(model.s0 / k_strike)
-                a = x0 + c1z - half
-                b = x0 + c1z + half
-                coeffs = put_coefficients(k_strike, a, b, n)
-                put = _cos_put_sum(terms, coeffs, disc, k_strike)
-                prices[i] = _with_parity(put, model, contracts[i], disc)
+            a, b, phase = x0 + a0, x0 + b0, -a0
         else:
-            a, b = config.interval
-            u = np.arange(n) * np.pi / (b - a)
-            m_u = switching_cf(base, u)
-            for i in idx:
-                k_strike = contracts[i].strike
-                x0 = math.log(model.s0 / k_strike)
-                terms = np.real(m_u * np.exp(1j * u * (x0 - a)))
-                terms[0] *= 0.5
-                coeffs = put_coefficients(k_strike, a, b, n)
-                put = _cos_put_sum(terms, coeffs, disc, k_strike)
-                prices[i] = _with_parity(put, model, contracts[i], disc)
+            a, b, phase = a0, b0, (x0 - a0)[:, None]
+        terms = np.real(switching_cf(base, u) * np.exp(1j * u * phase))
+        terms[..., 0] *= 0.5
+        disc = math.exp(-model.r * maturity)
+        coeffs = put_coefficients(strikes, a, b, config.n_terms)
+        # one dot product per contract, for shared (n,) and per-strike (K, n) terms alike
+        raw = disc * (coeffs[:, None, :] @ terms[..., None])[:, 0, 0]
+        puts = _guard_put_sums(raw, strikes)
+        is_call = np.array([contracts[i].kind is OptionKind.CALL for i in idx])
+        prices[idx] = np.where(is_call, puts + model.s0 - strikes * disc, puts)
     return prices
-
-
-def _with_parity(put: float, model: SwitchingModel, contract: ContractSpec, disc: float) -> float:
-    if contract.kind is OptionKind.PUT:
-        return put
-    return put + model.s0 - contract.strike * disc
 
 
 def bs_closed_form(

@@ -87,6 +87,22 @@ class TestObjective:
         quotes = _synthetic_quotes(ctx, params, (0.75, 1.25), (0.9, 1.0, 1.05))
         assert sl.calib_objective(*params, quotes, ctx) < 1e-10
 
+    def test_frozen_sampler_runs_once_per_maturity(self, monkeypatch):
+        ctx = _context()
+        params = _true_params(ctx)
+        # two OTM calls (K/s0 = 1.1, 1.2) at each of two maturities
+        quotes = _synthetic_quotes(ctx, params, (0.5, 1.0), (0.9, 1.1, 1.2))
+        calls = []
+        evaluate = sl.FrozenTerminalSampler.evaluate
+
+        def counting(self, theta1, theta2):
+            calls.append(self)
+            return evaluate(self, theta1, theta2)
+
+        monkeypatch.setattr(sl.FrozenTerminalSampler, "evaluate", counting)
+        sl.calib_objective(*params, quotes, ctx, sl.CalibConfig(mc_paths=1000))
+        assert len(calls) == 2 and calls[0] is not calls[1]
+
     def test_objective_deterministic(self):
         ctx = _context()
         params = _true_params(ctx)

@@ -1,8 +1,10 @@
+import warnings
+
 import numpy as np
 import pytest
 
 import switchlevy as sl
-from switchlevy.charfn import phi_matrix_batch
+from switchlevy.charfn import expm_row_sum, phi_matrix_batch
 
 from conftest import bs_reduced_model, expm2_oracle, rn_regime, single_regime_increments
 
@@ -168,6 +170,69 @@ class TestSwitchingCf:
             for part in (np.real, np.imag):
                 se = part(vals).std(ddof=1) / np.sqrt(vals.size)
                 assert abs(part(vals).mean() - part(phi)) < 3 * se + 1e-12
+
+
+def _pade_row_sum(a: np.ndarray) -> np.ndarray:
+    return sl.matrix_exp(a)[:, 0, :].sum(axis=-1)
+
+
+class TestClosedFormRowSum:
+    """The closed-form e_1^T exp(A) 1 against the Pade reference."""
+
+    @pytest.mark.parametrize("family", [GAMMA, IG])
+    def test_random_models_against_pade(self, family):
+        rng = np.random.default_rng(31)
+        u = np.linspace(-200.0, 200.0, 801)
+        for _ in range(25):
+            prms = tuple(
+                sl.RegimeParams(rng.uniform(-0.3, 0.3), rng.uniform(0.1, 1.0),
+                                rng.uniform(0.2, 5), rng.uniform(0.5, 5))
+                for _ in range(2)
+            )
+            model = sl.SwitchingModel(prms, rng.uniform(0, 6), rng.uniform(0, 6), family, 20.0, 0.04)
+            a = rng.uniform(0.05, 3) * phi_matrix_batch(model, u)
+            np.testing.assert_allclose(expm_row_sum(a), _pade_row_sum(a), rtol=0, atol=1e-12)
+
+    def test_defective(self):
+        # h = (a11 - a22)/2 = i and a12 a21 = 1, so d^2 = h^2 + a12 a21 = 0
+        # exactly: a single eigenvalue m with a 2x2 Jordan block
+        m = -0.3 + 0.2j
+        a = np.array([[[m + 1j, 2.0], [0.5, m - 1j]]])
+        assert (a[0, 0, 0] - a[0, 1, 1]) ** 2 / 4 + a[0, 0, 1] * a[0, 1, 0] == 0
+        np.testing.assert_allclose(expm_row_sum(a), _pade_row_sum(a), rtol=1e-12)
+
+    @pytest.mark.parametrize("h", [1e-8, 1e-8j, (1 + 1j) * 0.7e-8])
+    def test_near_defective(self, h):
+        # triangular, so d = +/-h: |d| ~ 1e-8
+        m = -0.8 + 3.0j
+        a = np.array([[[m + h, 1.5], [0.0, m - h]]])
+        np.testing.assert_allclose(expm_row_sum(a), _pade_row_sum(a), rtol=1e-12)
+
+    @pytest.mark.parametrize(
+        "family,regimes",
+        [
+            (GAMMA, ((-0.2316, 0.03, 0.1, 1.0), (0.0541, 0.7, 0.1, 1.2))),
+            (IG, ((0.01, 1.0, 0.1, 0.1), (-0.1, 5.0, 0.1, 10.0))),
+        ],
+    )
+    def test_large_u_finite_and_bounded(self, family, regimes):
+        # Gamma with alpha*T = 0.1: the CF decays only like |u|^(-0.2).
+        # IG (trajectory-figure set): at |u| = 1e4 the diagonal of Phi differs
+        # by ~4e3, so cosh d and sinh d alone would overflow
+        p1, p2 = (sl.RegimeParams(*prm) for prm in regimes)
+        model = sl.SwitchingModel((p1, p2), 2.5, 1.0, family, 20.0, 0.04)
+        u = np.concatenate([-np.geomspace(1e4, 1e-3, 200), np.geomspace(1e-3, 1e4, 200)])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")  # no overflow or invalid-value warnings
+            phi = sl.switching_cf(sl.CharFn(model, 1.0, y0=0.0), u)
+        assert np.all(np.isfinite(phi))
+        assert np.all(np.abs(phi) <= 1 + 1e-12)
+
+    def test_rejects_nonfinite(self):
+        a = np.zeros((3, 2, 2), dtype=complex)
+        a[1, 0, 0] = np.nan
+        with pytest.raises(ValueError, match="finite"):
+            expm_row_sum(a)
 
 
 class TestRiskNeutralDrift:

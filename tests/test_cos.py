@@ -227,6 +227,39 @@ class TestGuards:
         with pytest.raises(sl.PricingError):
             _cos_put_sum(np.array([-1e-3]), np.array([1.0]), 1.0, 1.0)
 
+    @staticmethod
+    def _lower_cf_at_zero(monkeypatch, shift):
+        """Lower phi(0) by shift in the pricer's CF sweep (the cumulant
+        differences never evaluate u = 0), so each contract's put sum drops
+        by shift/2 times its discounted zeroth payoff coefficient."""
+        cf_at = sl.cos.switching_cf
+        monkeypatch.setattr(
+            sl.cos, "switching_cf", lambda cf, u: cf_at(cf, u) - shift * (np.asarray(u) == 0)
+        )
+
+    def test_batched_grid_warns_once_per_clipped_contract(self, monkeypatch):
+        # puts at K = 4.5, 5 (T = 1) and K = 5 (T = 0.5) have true values
+        # below 1e-12 and a nonzero zeroth coefficient; K = 1 (T = 1) has no
+        # put mass on its interval and K = 20 is near the money
+        self._lower_cf_at_zero(monkeypatch, 1e-7)
+        model = bs_reduced_model(0.04, 0.2)
+        grid = [(4.5, 1.0), (5.0, 1.0), (20.0, 1.0), (1.0, 1.0), (5.0, 0.5), (20.0, 0.5)]
+        contracts = [sl.ContractSpec(k, t, PUT) for k, t in grid]
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            prices = sl.price_table(model, contracts)
+        clips = [w for w in caught if "clipping" in str(w.message)]
+        assert len(clips) == 3
+        np.testing.assert_array_equal(prices[[0, 1, 3, 4]], 0.0)
+        assert prices[2] > 0.5 and prices[5] > 0.5
+
+    def test_batched_grid_raises_beyond_noise(self, monkeypatch):
+        self._lower_cf_at_zero(monkeypatch, 1e-3)
+        model = bs_reduced_model(0.04, 0.2)
+        contracts = [sl.ContractSpec(k, 1.0, PUT) for k in (4.5, 20.0)]
+        with pytest.raises(sl.PricingError, match="beyond truncation noise"):
+            sl.price_table(model, contracts)
+
     def test_config_validation(self):
         with pytest.raises(ValueError):
             sl.CosConfig(n_terms=8)
