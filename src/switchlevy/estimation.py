@@ -5,7 +5,9 @@ holding rates are estimated by run counting, and each regime's
 (mu, sigma, alpha, beta) is fitted on its own subsample as a
 non-switching time-changed process: method of moments, minimum distance
 on the empirical characteristic function, or simulated maximum
-likelihood with a Gaussian kernel density.
+likelihood with a Gaussian kernel density. The simulated likelihood
+draws its increments from the same frozen common-random-numbers sampler
+as the calibration (mc.FrozenTerminalSampler, with no regime switch).
 """
 
 from __future__ import annotations
@@ -20,12 +22,9 @@ from scipy import stats
 from scipy.optimize import least_squares, minimize
 
 from .charfn import regime_char_exponent
+from .mc import FrozenTerminalSampler
 from .regime import TRADING_DT, Family, RegimeParams
-from .subordinators import (
-    increment_from_draws,
-    laplace_exponent_derivatives,
-    spec_for,
-)
+from .subordinators import laplace_exponent_derivatives, spec_for
 
 DENSITY_FLOOR = 1e-300
 
@@ -383,20 +382,14 @@ def _binned_kde_at(sim: np.ndarray, pts: np.ndarray) -> np.ndarray:
     return np.interp(pts, grid, dens)
 
 
-class _FrozenIncrementSim:
-    """Frozen driver draws for the simulated likelihood (common random
-    numbers: the same seed produces the same draws for every theta)."""
+def _kde_loglik(sim: np.ndarray, z: np.ndarray) -> tuple[float, bool]:
+    """Log likelihood of z under the KDE of sim, with the density floored at
+    DENSITY_FLOOR, and whether every density was floored."""
+    dens = _binned_kde_at(sim, z)
+    return float(np.log(np.maximum(dens, DENSITY_FLOOR)).sum()), bool(np.all(dens <= DENSITY_FLOOR))
 
-    def __init__(self, n_sim: int, seed: int):
-        rng = np.random.default_rng(seed)
-        self.u = rng.random(n_sim)
-        self.nu = rng.standard_normal(n_sim)
-        self.zz = rng.random(n_sim)
-        self.nrm = rng.standard_normal(n_sim)
 
-    def increments(self, params: RegimeParams, family: Family, dt: float) -> np.ndarray:
-        dl = increment_from_draws(spec_for(params, family), dt, self.u, self.nu, self.zz)
-        return params.mu * dl + params.sigma * np.sqrt(dl) * self.nrm
+_FLOORED = "all densities floored: data far outside simulated support"
 
 
 def simulated_loglik(
@@ -409,11 +402,11 @@ def simulated_loglik(
 ) -> float:
     """Kernel-density log likelihood of the data under simulated increments."""
     z = np.asarray(returns, dtype=float)
-    sim = _FrozenIncrementSim(n_sim, seed).increments(params, family, dt)
-    dens = _binned_kde_at(sim, z)
-    if np.all(dens <= DENSITY_FLOOR):
-        raise EstimationError("all densities floored: data far outside simulated support")
-    return float(np.log(np.maximum(dens, DENSITY_FLOOR)).sum())
+    sim = FrozenTerminalSampler(family, 0.0, 0.0, dt, n_sim, seed).evaluate(params, params)
+    ll, floored = _kde_loglik(sim, z)
+    if floored:
+        raise EstimationError(_FLOORED)
+    return ll
 
 
 def mle_fit(
@@ -428,35 +421,40 @@ def mle_fit(
     """Simulated maximum likelihood with a kernel density.
 
     For each candidate theta, n_sim single-regime increments over dt are
-    produced from draws frozen at the given seed (common random numbers,
-    so the objective is deterministic and varies smoothly with theta), a
-    Gaussian KDE is built from them, and the log likelihood of the data
-    is evaluated with the density floored at 1e-300.
+    produced by one FrozenTerminalSampler from draws frozen at the given
+    seed (common random numbers, so the objective is deterministic and
+    varies smoothly with theta; the sampler reuses its subordinator
+    increments across the optimizer's mu and sigma probes, and its beta
+    probes for Gamma), a Gaussian KDE is built from them, and the log
+    likelihood of the data is evaluated with the density floored at 1e-300.
+    Only the start point must have an unfloored density: a trial point of
+    the search whose densities are all floored scores the floored value.
     """
     z = np.asarray(returns, dtype=float)
     if n_sim < 10_000:
         raise EstimationError("n_sim must be >= 10000")
     if init is None:
         init = _default_init(z, dt, bounds)
-    sim = _FrozenIncrementSim(n_sim, seed)
+    # lambda12 = 0: no sojourn is drawn, one round of increments over dt
+    sim = FrozenTerminalSampler(family, 0.0, 0.0, dt, n_sim, seed)
 
-    def neg_loglik(x: np.ndarray) -> float:
+    def kde_loglik(x: np.ndarray) -> tuple[float, bool]:
         prm = RegimeParams.from_array(x)
-        dens = _binned_kde_at(sim.increments(prm, family, dt), z)
-        if np.all(dens <= DENSITY_FLOOR):
-            raise EstimationError("all densities floored: data far outside simulated support")
-        return -float(np.log(np.maximum(dens, DENSITY_FLOOR)).sum())
+        return _kde_loglik(sim.evaluate(prm, prm), z)
 
     x0 = bounds.clip(init.as_array())
+    ll0, floored = kde_loglik(x0)
+    if floored:
+        raise EstimationError(_FLOORED)
     # finite-difference steps well above the residual kernel-binning noise
     eps = 1e-4 * np.maximum(np.abs(x0), 0.05)
     res = minimize(
-        neg_loglik,
+        lambda x: -kde_loglik(x)[0],
         x0,
         method="L-BFGS-B",
         bounds=list(zip(bounds.lower(), bounds.upper())),
         options={"eps": eps, "maxiter": 300},
     )
-    if res.fun > neg_loglik(x0):
+    if res.fun > -ll0:
         raise EstimationError(f"likelihood optimizer failed to improve: {res.message}")
     return FitResult(RegimeParams.from_array(res.x), float(res.fun), bool(res.success), str(res.message))

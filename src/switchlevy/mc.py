@@ -11,6 +11,7 @@ bias.
 from __future__ import annotations
 
 import math
+from collections import OrderedDict
 from dataclasses import dataclass
 
 import numpy as np
@@ -23,10 +24,13 @@ from .regime import (
     SwitchingModel,
     simulate_regime_path,
 )
-from .subordinators import increment_from_draws, sample_increment, spec_for
+from .subordinators import SubordinatorSpec, increment_from_draws, sample_increment, spec_for
 
 Z95 = 1.959964  # two-sided 95% normal quantile
 _BLOCK = 1 << 16
+# subordinator increments kept per frozen round: a base point and its alpha
+# and beta probes, so the base is still kept when the optimizer returns to it
+_KEPT_INCREMENTS = 3
 
 
 @dataclass(frozen=True)
@@ -184,7 +188,18 @@ class FrozenTerminalSampler:
     sojourns and all driving draws are frozen at construction; evaluate()
     maps regime parameters to terminal log returns through smooth
     inverse-CDF transforms of those draws. Used by objectives that are
-    differenced numerically in the parameters.
+    differenced numerically in the parameters: the option-quote
+    calibration, and the simulated likelihood, where lambda12 = 0 leaves a
+    single round of single-regime increments over the horizon.
+
+    Each round of sojourns keeps its last few subordinator increments
+    (least recently used out), so a finite-difference probe in mu or sigma,
+    or in beta for Gamma, reuses the increment of the point it was taken
+    from instead of transforming the draws again. The transform of a
+    Gamma round depends on alpha alone: its increment is kept for
+    beta = 1 and divided by beta, which is the division the transform
+    makes. A reused evaluation is bit-for-bit the one a fresh sampler
+    gives.
     """
 
     def __init__(
@@ -215,15 +230,28 @@ class FrozenTerminalSampler:
                 rng.random(alive.size),
                 rng.standard_normal(alive.size),
             )
-            self._rounds.append((alive, dur, state, draws))
+            self._rounds.append((alive, dur, state, draws, OrderedDict()))
             elapsed[alive] += dur
             alive = alive[soj < remaining]
             k += 1
 
     def evaluate(self, theta1: RegimeParams, theta2: RegimeParams) -> np.ndarray:
         z = np.zeros(self.n_paths)
-        for idx, dur, state, (u, nu, zz, nrm) in self._rounds:
+        for idx, dur, state, (u, nu, zz, nrm), kept in self._rounds:
             prm = theta1 if state == 1 else theta2
-            dl = increment_from_draws(spec_for(prm, self.family), dur, u, nu, zz)
+            dl = self._increment(prm, dur, u, nu, zz, kept)
             z[idx] += prm.mu * dl + prm.sigma * np.sqrt(dl) * nrm
         return z
+
+    def _increment(self, prm: RegimeParams, dur, u, nu, zz, kept: OrderedDict) -> np.ndarray:
+        beta_free = self.family is Family.GAMMA
+        key = prm.alpha if beta_free else (prm.alpha, prm.beta)
+        dl = kept.get(key)
+        if dl is None:
+            spec = SubordinatorSpec(self.family, prm.alpha, 1.0 if beta_free else prm.beta)
+            dl = kept[key] = increment_from_draws(spec, dur, u, nu, zz)
+            if len(kept) > _KEPT_INCREMENTS:
+                kept.popitem(last=False)
+        else:
+            kept.move_to_end(key)
+        return dl / prm.beta if beta_free else dl

@@ -15,7 +15,7 @@ from switchlevy.estimation import (
     simulated_loglik,
 )
 
-from conftest import REGIME1_WINDOWS, single_regime_increments, synthetic_price_history
+from conftest import REGIME1_WINDOWS, rn_regime, single_regime_increments, synthetic_price_history
 
 GAMMA = sl.Family.GAMMA
 IG = sl.Family.INVERSE_GAUSSIAN
@@ -349,6 +349,38 @@ class TestMleFit:
         cf_fit = np.exp(DT * sl.regime_char_exponent(fit.params, GAMMA, u))
         assert np.abs(cf_fit - cf_true).max() < 1e-2
         assert sl.ParamBounds().contains(fit.params)
+
+    def test_search_survives_floored_trial_points(self):
+        """The IG fit on the regime-2 returns of the acceptance-9 model: the
+        first L-BFGS-B trial point is the box corner (mu=-1, sigma=1e-6,
+        alpha=1e-6), where every simulated density is floored. The search
+        goes on past it instead of aborting."""
+        fam, r = sl.Family.INVERSE_GAUSSIAN, 0.04
+        truth = (rn_regime(0.25, 2.5, 2.0, fam, r), rn_regime(0.45, 4.0, 3.0, fam, r))
+        model = sl.SwitchingModel(truth, 2.5, 1.0, fam, 20.0, r)
+        rng = np.random.default_rng(0)
+        n = 5000
+        path = sl.simulate_regime_path(model, n * DT, rng)
+        labels = path.states[np.searchsorted(path.switch_times, (np.arange(n) + 0.5) * DT, side="right")]
+        z = np.empty(n)
+        for j, prm in enumerate(truth, start=1):
+            mask = labels == j
+            z[mask] = single_regime_increments(prm, fam, DT, int(mask.sum()), rng)
+        z2 = z[labels == 2]
+        assert z2.size == 3286
+        start = sl.mom_fit(z2, fam, dt=DT).params
+        fit = sl.mle_fit(z2, fam, init=start, dt=DT)
+        np.testing.assert_allclose(fit.params.as_array(), [-0.176, 0.444, 3.49, 3.47], atol=0.01)
+        u = np.linspace(-20, 20, 101)
+        cf_true = np.exp(DT * sl.regime_char_exponent(truth[1], fam, u))
+        cf_fit = np.exp(DT * sl.regime_char_exponent(fit.params, fam, u))
+        assert np.abs(cf_fit - cf_true).max() < 0.05
+
+    def test_floored_start_point_raises(self):
+        """Only a start point with every density floored aborts the fit."""
+        z = np.full(200, 5.0) + np.linspace(0.0, 1e-3, 200)
+        with pytest.raises(EstimationError, match="floored"):
+            sl.mle_fit(z, GAMMA, init=sl.RegimeParams(0.0, 0.01, 1.0, 1.0), dt=DT)
 
     def test_minimum_simulation_size(self):
         with pytest.raises(EstimationError, match="n_sim"):

@@ -174,6 +174,59 @@ class TestFrozenTerminalSampler:
         p1, p2 = sl.RegimeParams(0.1, 0.4, 1.5, 2.0), sl.RegimeParams(-0.1, 0.6, 1.0, 1.0)
         np.testing.assert_array_equal(s1.evaluate(p1, p2), s2.evaluate(p1, p2))
 
+    @pytest.mark.parametrize("family", [sl.Family.GAMMA, sl.Family.INVERSE_GAUSSIAN])
+    @pytest.mark.parametrize("lambda12", [0.0, 3.0])
+    def test_reuse_is_exact_after_any_probe_sequence(self, family, lambda12):
+        """Kept increments never change a result: every evaluation equals a
+        fresh sampler's, also for keys evicted and then asked for again."""
+        def fresh():
+            return sl.FrozenTerminalSampler(family, lambda12, 2.0, 1.0, 2_000, seed=17)
+
+        assert (len(fresh()._rounds) > 1) == (lambda12 > 0)
+        x0 = np.array([0.1, 0.4, 1.5, 2.0, -0.1, 0.6, 1.0, 1.2])
+        # the base point, then one probe per coordinate as forward differences take them
+        xs = [x0] + [x0 * (1.0 + 1e-3 * np.eye(8)[i]) for i in range(8)]
+        points = [(sl.RegimeParams.from_array(x[:4]), sl.RegimeParams.from_array(x[4:])) for x in xs]
+        order = list(range(len(points))) + [0, 3, 1, 8, 2, 0, 7, 4, 0]
+        sampler = fresh()
+        for k in order:
+            assert np.array_equal(sampler.evaluate(*points[k]), fresh().evaluate(*points[k]))
+
+    @pytest.mark.parametrize("family", list(sl.Family))
+    def test_single_regime_round_is_the_increment_formula(self, family):
+        """With lambda12 = 0 the sampler is the simulated likelihood's
+        increment generator: draws u, nu, z, N in that order, one step dt."""
+        prm, dt, n, seed = sl.RegimeParams(0.1, 0.4, 1.5, 2.0), DT, 5_000, 19
+        rng = np.random.default_rng(seed)
+        u, nu, zz, nrm = rng.random(n), rng.standard_normal(n), rng.random(n), rng.standard_normal(n)
+        dl = sl.subordinators.increment_from_draws(sl.SubordinatorSpec(family, 1.5, 2.0), dt, u, nu, zz)
+        expected = prm.mu * dl + prm.sigma * np.sqrt(dl) * nrm
+        sampler = sl.FrozenTerminalSampler(family, 0.0, 1.0, dt, n, seed)
+        assert np.array_equal(sampler.evaluate(prm, prm), expected)
+
+    @pytest.mark.parametrize(
+        "family, transforms", [(sl.Family.GAMMA, 2), (sl.Family.INVERSE_GAUSSIAN, 3)]
+    )
+    def test_probes_reuse_the_transform(self, monkeypatch, family, transforms):
+        """Gamma increments depend on alpha alone, IG ones on (alpha, beta);
+        mu and sigma never need a new transform."""
+        calls = []
+        transform = sl.mc.increment_from_draws
+
+        def counting(*args):
+            calls.append(args[0])
+            return transform(*args)
+
+        monkeypatch.setattr(sl.mc, "increment_from_draws", counting)
+        sampler = sl.FrozenTerminalSampler(family, 0.0, 1.0, DT, 1_000, seed=20)
+        base = sl.RegimeParams(0.1, 0.4, 1.5, 2.0)
+        probes = [base] + [
+            sl.RegimeParams.from_array(base.as_array() + 1e-4 * np.eye(4)[i]) for i in range(4)
+        ] + [base]
+        for prm in probes:
+            sampler.evaluate(prm, prm)
+        assert len(calls) == transforms
+
 
 def test_price_path_validation():
     with pytest.raises(ValueError):
