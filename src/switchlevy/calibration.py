@@ -1,11 +1,12 @@
 """Calibration of regime parameters to market option quotes.
 
 Minimizes the root-mean-squared pricing error over a quote table by
-projected gradient descent with numerical gradients. Quotes that are out
-of the money per the moneyness rule are priced by Monte Carlo with
-common random numbers (the cosine expansion loses accuracy there); all
-other rows go through the cosine pricer. The switching intensities are
-held fixed; both regimes' parameters are fitted jointly.
+bounded trust-region least squares on the vector of pricing errors.
+Quotes that are out of the money per the moneyness rule are priced by
+Monte Carlo with common random numbers (the cosine expansion loses
+accuracy there); all other rows go through the cosine pricer. The
+switching intensities are held fixed; both regimes' parameters are
+fitted jointly.
 """
 
 from __future__ import annotations
@@ -14,6 +15,7 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
+from scipy.optimize import least_squares
 
 from .cos import ContractSpec, CosConfig, OptionKind, price_table
 from .estimation import ParamBounds
@@ -42,6 +44,8 @@ class QuoteTable:
             raise ValueError("quote table must be nonempty")
         seen = set()
         for row in self.rows:
+            if not all(math.isfinite(v) for v in (row.maturity, row.strike, row.mid)):
+                raise ValueError(f"non-finite maturity/strike/quote in {row}")
             if row.maturity <= 0 or row.strike <= 0:
                 raise ValueError(f"nonpositive maturity/strike in {row}")
             if row.mid < 0:
@@ -112,23 +116,25 @@ class _ObjectiveState:
         self.config = config
         self.cos_rows = [r for r in quotes if not is_otm(r, ctx.s0, config)]
         self.mc_rows = [r for r in quotes if is_otm(r, ctx.s0, config)]
+        self.mids = np.array([r.mid for r in self.cos_rows + self.mc_rows])
         self.samplers: dict[float, FrozenTerminalSampler] = {}
         for i, t in enumerate(sorted({r.maturity for r in self.mc_rows})):
             self.samplers[t] = FrozenTerminalSampler(
                 ctx.family, ctx.lambda12, ctx.lambda21, t, config.mc_paths, config.mc_seed + i
             )
 
-    def evaluate(self, theta1: RegimeParams, theta2: RegimeParams) -> float:
+    def residuals(self, theta1: RegimeParams, theta2: RegimeParams) -> np.ndarray:
+        """Model price minus mid, cosine rows then Monte Carlo rows, over
+        sqrt(n): its Euclidean norm is the root-mean-squared error."""
         ctx = self.ctx
         model = SwitchingModel((theta1, theta2), ctx.lambda12, ctx.lambda21, ctx.family, ctx.s0, ctx.r)
-        sq_err = 0.0
+        prices = []
         if self.cos_rows:
             contracts = [ContractSpec(r.strike, r.maturity, r.kind) for r in self.cos_rows]
             try:
-                prices = price_table(model, contracts, self.config.cos)
+                prices.extend(price_table(model, contracts, self.config.cos))
             except Exception as exc:
                 raise CalibrationError(f"cosine pricing failed on rows {contracts}: {exc}") from exc
-            sq_err += float(np.sum((prices - np.array([r.mid for r in self.cos_rows])) ** 2))
         terminal: dict[float, np.ndarray] = {}
         for maturity, sampler in self.samplers.items():
             try:
@@ -143,9 +149,11 @@ class _ObjectiveState:
                 payoff = np.maximum(s_t - row.strike, 0.0)
             else:
                 payoff = np.maximum(row.strike - s_t, 0.0)
-            price = math.exp(-ctx.r * row.maturity) * float(payoff.mean())
-            sq_err += (price - row.mid) ** 2
-        return math.sqrt(sq_err / (len(self.cos_rows) + len(self.mc_rows)))
+            prices.append(math.exp(-ctx.r * row.maturity) * float(payoff.mean()))
+        return (np.array(prices) - self.mids) / math.sqrt(self.mids.size)
+
+    def evaluate(self, theta1: RegimeParams, theta2: RegimeParams) -> float:
+        return float(np.linalg.norm(self.residuals(theta1, theta2)))
 
 
 def calib_objective(
@@ -159,6 +167,11 @@ def calib_objective(
     return _ObjectiveState(quotes, ctx, config).evaluate(theta1, theta2)
 
 
+# least_squares status -> stop reason; -2 is the callback's stop at max_iters
+_STOP_REASONS = {-2: "max iterations", 0: "max evaluations", 1: "zero gradient",
+                 2: "objective tolerance", 3: "step tolerance", 4: "step tolerance"}
+
+
 def calibrate(
     quotes: QuoteTable,
     ctx: CalibContext,
@@ -166,71 +179,51 @@ def calibrate(
     bounds: ParamBounds = ParamBounds(),
     config: CalibConfig = CalibConfig(),
 ) -> CalibrationResult:
-    """Projected gradient descent on both regimes' parameters.
+    """Trust-region least squares on both regimes' parameters.
 
-    Forward-difference gradients (relative step config.fd_rel_step),
-    backtracking line search, stop on step norm below step_tolerance or
-    on max_iters. Coordinates are preconditioned by their initial
-    magnitudes so the descent is not dominated by scale differences.
+    One scipy least_squares call (method 'trf', Branch, Coleman & Li 1999)
+    on the residual vector inside the bounds box: forward-difference
+    Jacobians with relative step config.fd_rel_step, coordinates scaled
+    by their initial magnitudes, xtol = step_tolerance, and at most
+    max_iters accepted iterations. objective_history holds the objective
+    at init and at each accepted iterate, so it decreases.
     """
     state = _ObjectiveState(quotes, ctx, config)
     lower = np.concatenate([bounds.lower()] * 2)
     upper = np.concatenate([bounds.upper()] * 2)
-    x = np.concatenate([init[0].as_array(), init[1].as_array()])
-    if np.any(x < lower) or np.any(x > upper):
+    x0 = np.concatenate([init[0].as_array(), init[1].as_array()])
+    if np.any(x0 < lower) or np.any(x0 > upper):
         raise CalibrationError("initial parameters are outside the bounds")
-    scale = np.maximum(np.abs(x), 1e-2)
 
     def unpack(v: np.ndarray) -> tuple[RegimeParams, RegimeParams]:
         return RegimeParams.from_array(v[:4]), RegimeParams.from_array(v[4:])
 
-    def f(v: np.ndarray) -> float:
-        return state.evaluate(*unpack(v))
+    history: list[float] = []
+    cost = math.inf  # the solver's cost, half the squared residual norm, at its last iterate
 
-    fx = f(x)
-    history = [fx]
-    stop_reason = "max iterations"
-    step0 = 1.0
-    it = 0
-    for it in range(1, config.max_iters + 1):
-        # forward differences, flipped where the step would leave the box
-        grad = np.zeros_like(x)
-        for i in range(x.size):
-            h = config.fd_rel_step * max(abs(x[i]), scale[i])
-            xp = x.copy()
-            if x[i] + h <= upper[i]:
-                xp[i] = x[i] + h
-                grad[i] = (f(xp) - fx) / h
-            else:
-                xp[i] = x[i] - h
-                grad[i] = (fx - f(xp)) / h
-        direction = grad * scale**2  # preconditioned steepest descent
-        if not np.any(direction):
-            stop_reason = "zero gradient"
-            break
+    def residuals(v: np.ndarray) -> np.ndarray:
+        nonlocal cost
+        res = state.residuals(*unpack(v))
+        if not history:  # the solver's first evaluation is at the start point
+            cost = 0.5 * np.dot(res, res)
+            history.append(float(np.linalg.norm(res)))
+        return res
 
-        t = step0
-        accepted = False
-        for _ in range(40):
-            x_new = np.clip(x - t * direction, lower, upper)
-            move = x - x_new
-            if not np.any(move):
-                t *= 0.5
-                continue
-            f_new = f(x_new)
-            if f_new <= fx - 1e-4 * float(grad @ move):
-                accepted = True
-                break
-            t *= 0.5
-        if not accepted:
-            stop_reason = "line search failed (stationary point)"
-            break
-        step_norm = float(np.linalg.norm(x_new - x))
-        x, fx = x_new, f_new
-        history.append(fx)
-        step0 = min(t * 2.0, 1e6)
-        if step_norm < config.step_tolerance:
-            stop_reason = "step tolerance"
-            break
+    def on_iteration(intermediate_result) -> None:
+        # also called after an iteration that rejected every trial step;
+        # the solver accepts a step only if the cost falls
+        nonlocal cost
+        if intermediate_result.cost < cost:
+            cost = intermediate_result.cost
+            history.append(float(np.linalg.norm(intermediate_result.fun)))
+            if len(history) > config.max_iters:
+                raise StopIteration
 
-    return CalibrationResult(unpack(x), fx, it, stop_reason, tuple(history))
+    fit = least_squares(
+        residuals, x0, method="trf", bounds=(lower, upper), x_scale=np.maximum(np.abs(x0), 1e-2),
+        diff_step=config.fd_rel_step, xtol=config.step_tolerance, callback=on_iteration,
+    )
+    objective = float(np.linalg.norm(fit.fun))
+    return CalibrationResult(
+        unpack(fit.x), objective, len(history) - 1, _STOP_REASONS[fit.status], tuple(history)
+    )

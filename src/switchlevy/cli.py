@@ -179,10 +179,15 @@ def cmd_calibrate(args) -> int:
         raise DataError(f"{args.market}: needs s0, r, lambda12, lambda21: {exc}") from exc
     if args.init:
         doc = json.loads(Path(args.init).read_text())
-        init = tuple(
-            RegimeParams(float(p["mu"]), float(p["sigma"]), float(p["alpha"]), float(p["beta"]))
-            for p in doc["regimes"]
-        )
+        try:
+            init = tuple(
+                RegimeParams(float(p["mu"]), float(p["sigma"]), float(p["alpha"]), float(p["beta"]))
+                for p in doc["regimes"]
+            )
+        except (KeyError, TypeError, ValueError) as exc:
+            raise DataError(f"{args.init}: needs regimes with mu, sigma, alpha, beta: {exc}") from exc
+        if len(init) != 2:
+            raise DataError(f"{args.init}: needs exactly 2 regimes, got {len(init)}")
     else:
         init = (RegimeParams(0.0, 0.3, 1.0, 1.0), RegimeParams(0.0, 0.3, 1.0, 1.0))
     config = CalibConfig(max_iters=args.max_iters, mc_paths=args.mc_paths, mc_seed=args.seed)

@@ -72,6 +72,8 @@ def load_quotes(path) -> QuoteTable:
         for lineno, row in enumerate(reader, start=2):
             if not row or all(not c.strip() for c in row):
                 continue
+            if len(row) < 4:
+                raise DataError(f"{path} line {lineno}: expected 'maturity,strike,kind,mid', got {row}")
             try:
                 rows.append(
                     QuoteRow(

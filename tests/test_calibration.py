@@ -51,6 +51,19 @@ class TestQuoteTable:
         with pytest.raises(ValueError):
             sl.QuoteTable((sl.QuoteRow(1.0, 20.0, CALL, -0.5),))
 
+    @pytest.mark.parametrize(
+        "row",
+        [
+            sl.QuoteRow(float("nan"), 20.0, CALL, 2.0),
+            sl.QuoteRow(1.0, float("nan"), CALL, 2.0),
+            sl.QuoteRow(1.0, 20.0, CALL, float("nan")),
+            sl.QuoteRow(1.0, float("inf"), CALL, 2.0),
+        ],
+    )
+    def test_nonfinite_rejected(self, row):
+        with pytest.raises(ValueError, match="non-finite"):
+            sl.QuoteTable((row,))
+
 
 class TestObjective:
     def test_two_dollar_gap_gives_j_two(self):
@@ -191,6 +204,52 @@ class TestCalibrate:
         bad = (sl.RegimeParams(2.0, 0.3, 1.0, 1.0), sl.RegimeParams(0.0, 0.3, 1.0, 1.0))
         with pytest.raises(sl.CalibrationError, match="bounds"):
             sl.calibrate(quotes, ctx, bad)
+
+    def test_result_objective_and_history_start(self):
+        ctx = _context()
+        params = _true_params(ctx)
+        quotes = _synthetic_quotes(ctx, params, (1.0,), (0.9, 1.0, 1.1))
+        init = tuple(sl.RegimeParams(*(p.as_array() * 1.15)) for p in params)
+        config = sl.CalibConfig(max_iters=40)
+        result = sl.calibrate(quotes, ctx, init, config=config)
+        assert result.objective == pytest.approx(
+            sl.calib_objective(*result.params, quotes, ctx, config), rel=1e-12
+        )
+        assert result.objective_history[0] == pytest.approx(
+            sl.calib_objective(*init, quotes, ctx, config), rel=1e-12
+        )
+        assert result.objective_history[-1] == result.objective
+        assert len(result.objective_history) == result.n_iters + 1
+
+    def test_max_iters_bounds_accepted_iterations(self):
+        ctx = _context()
+        params = _true_params(ctx)
+        quotes = _synthetic_quotes(ctx, params, (1.0,), (0.9, 1.0, 1.1))
+        init = tuple(sl.RegimeParams(*(p.as_array() * 1.15)) for p in params)
+        result = sl.calibrate(quotes, ctx, init, config=sl.CalibConfig(max_iters=2))
+        assert result.n_iters == 2
+        assert result.stop_reason == "max iterations"
+
+    def test_evaluation_count_on_two_maturity_grid(self, monkeypatch):
+        """2x6 call grid with four OTM rows on 5000 frozen paths: a frozen-draw
+        seed on which a projected gradient descent took 8198 evaluations."""
+        ctx = _context()
+        params = _true_params(ctx)
+        quotes = _synthetic_quotes(ctx, params, (0.5, 1.0), (0.9, 0.95, 1.0, 1.05, 1.1, 1.15))
+        init = tuple(sl.RegimeParams(*(p.as_array() * 1.10)) for p in params)
+        calls = []
+        price_table = sl.calibration.price_table
+
+        def counting(*args, **kwargs):
+            calls.append(1)
+            return price_table(*args, **kwargs)
+
+        monkeypatch.setattr(sl.calibration, "price_table", counting)
+        config = sl.CalibConfig(mc_paths=5000, mc_seed=1)
+        result = sl.calibrate(quotes, ctx, init, config=config)
+        mean_quote = np.mean([r.mid for r in quotes])
+        assert len(calls) <= 400
+        assert result.objective < 0.01 * mean_quote
 
     def test_config_validation(self):
         with pytest.raises(ValueError):

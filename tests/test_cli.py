@@ -185,6 +185,37 @@ class TestCalibrateCommand:
                      "--out", str(tmp_path / "o.json")])
         assert code == 2
 
+    def test_short_quote_row_exits_2(self, tmp_path, capsys):
+        qf = tmp_path / "quotes.csv"
+        qf.write_text("maturity,strike,kind,mid\n1.0,20,call\n")
+        market = tmp_path / "market.json"
+        market.write_text(json.dumps({"s0": 20.0, "r": 0.04, "lambda12": 2.5, "lambda21": 1.0}))
+        code = main(["calibrate", "--quotes", str(qf), "--market", str(market),
+                     "--out", str(tmp_path / "o.json")])
+        assert code == 2
+        assert "line 2" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "doc",
+        [
+            {"regimes": [{"mu": 0.0, "sigma": 0.3, "alpha": 1.0}] * 2},
+            {"regimes": [{"mu": 0.0, "sigma": 0.3, "alpha": 1.0, "beta": 1.0}]},
+            {"regimes": [{"mu": 0.0, "sigma": 0.3, "alpha": 1.0, "beta": 1.0}] * 3},
+            {"params": []},
+        ],
+    )
+    def test_bad_init_file_exits_2(self, tmp_path, doc):
+        qf = tmp_path / "quotes.csv"
+        qf.write_text("maturity,strike,kind,mid\n1.0,20,call,2.0\n")
+        market = tmp_path / "market.json"
+        market.write_text(json.dumps({"s0": 20.0, "r": 0.04, "lambda12": 2.5, "lambda21": 1.0}))
+        init = tmp_path / "init.json"
+        init.write_text(json.dumps(doc))
+        code = main(["calibrate", "--quotes", str(qf), "--market", str(market),
+                     "--out", str(tmp_path / "o.json"), "--init", str(init)])
+        assert code == 2
+        assert not (tmp_path / "o.json").exists()
+
 
 class TestBsCheckCommand:
     def test_cos_column_matches_closed_form(self, capsys):

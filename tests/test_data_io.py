@@ -87,6 +87,17 @@ class TestLoadQuotes:
         with pytest.raises(DataError):
             load_quotes(f)
 
+    def test_short_row_reports_line(self, tmp_path):
+        f = _write(tmp_path / "q.csv", "maturity,strike,kind,mid\n1.0,20,call,2.5\n1.0,21,call\n")
+        with pytest.raises(DataError, match="line 3"):
+            load_quotes(f)
+
+    @pytest.mark.parametrize("row", ["nan,20,call,2.5", "1.0,nan,call,2.5", "1.0,20,call,nan"])
+    def test_nonfinite_value_rejected(self, tmp_path, row):
+        f = _write(tmp_path / "q.csv", f"maturity,strike,kind,mid\n{row}\n")
+        with pytest.raises(DataError, match="non-finite"):
+            load_quotes(f)
+
     def test_unknown_kind_rejected(self, tmp_path):
         f = _write(tmp_path / "q.csv", "maturity,strike,kind,mid\n1.0,20,straddle,2.5\n")
         with pytest.raises(DataError, match="line 2"):
