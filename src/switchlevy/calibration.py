@@ -186,7 +186,11 @@ def calibrate(
     Jacobians with relative step config.fd_rel_step, coordinates scaled
     by their initial magnitudes, xtol = step_tolerance, and at most
     max_iters accepted iterations. objective_history holds the objective
-    at init and at each accepted iterate, so it decreases.
+    at the solver's start point and at each accepted iterate, so it
+    decreases. The start point is init, except that 'trf' first moves a
+    coordinate lying on a face of the bounds box inward by 1e-10 of
+    max(1, |bound|); objective_history[0] then differs from the objective
+    at init by about that much.
     """
     state = _ObjectiveState(quotes, ctx, config)
     lower = np.concatenate([bounds.lower()] * 2)

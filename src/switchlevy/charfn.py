@@ -41,7 +41,7 @@ import numpy as np
 from scipy.optimize import brentq
 
 from .regime import Family, RegimeParams, SwitchingModel
-from .subordinators import laplace_exponent, real_domain_sup, spec_for
+from .subordinators import laplace_exponent, laplace_exponent_derivatives, real_domain_sup, spec_for
 
 # [6/6] Pade coefficients of exp(x): c_j = (12-j)! 6! / (12! (6-j)! j!)
 _PADE_M = 6
@@ -60,6 +60,20 @@ def regime_char_exponent(params: RegimeParams, family: Family, u):
     u = np.asarray(u, dtype=complex)
     arg = 1j * params.mu * u - 0.5 * params.sigma**2 * u * u
     return laplace_exponent(spec_for(params, family), arg)
+
+
+def increment_cumulants(
+    params: RegimeParams, family: Family, dt: float
+) -> tuple[float, float, float, float]:
+    """First four cumulants of a single-regime increment over dt, the
+    Taylor coefficients of dt Psi(-i theta) times n!."""
+    d1, d2, d3, d4 = laplace_exponent_derivatives(spec_for(params, family))
+    mu, v = params.mu, params.sigma**2
+    k1 = dt * d1 * mu
+    k2 = dt * (d2 * mu**2 + d1 * v)
+    k3 = dt * (d3 * mu**3 + 3.0 * d2 * mu * v)
+    k4 = dt * (d4 * mu**4 + 6.0 * d3 * mu**2 * v + 3.0 * d2 * v**2)
+    return k1, k2, k3, k4
 
 
 def phi_matrix(model: SwitchingModel, u: complex) -> np.ndarray:

@@ -15,10 +15,12 @@ from .charfn import CharFn, switching_cf
 from .cos import ContractSpec, CosConfig, OptionKind, bs_closed_form, price_table
 from .data_io import (
     DataError,
+    load_grid,
     load_model,
     load_prices,
     load_quotes,
     load_windows,
+    regimes_from_dict,
 )
 from .estimation import (
     AbsThreshold,
@@ -39,28 +41,9 @@ BS_CHECK_ROWS = ((1.0, 1.0, 0.04, 0.5), (3.0, 1.0, 0.1, 1.0), (2.0, 30.0, 0.5, 0
 BS_CHECK_S0 = 20.0
 
 
-def _read_grid(path) -> list[ContractSpec]:
-    rows = []
-    with open(path, newline="") as fh:
-        reader = csv.reader(fh)
-        header = next(reader, None)
-        if header is None or [c.strip().lower() for c in header[:3]] != ["maturity", "strike", "kind"]:
-            raise DataError(f"{path}: expected header 'maturity,strike,kind', got {header}")
-        for lineno, row in enumerate(reader, start=2):
-            if not row or all(not c.strip() for c in row):
-                continue
-            try:
-                rows.append(ContractSpec(float(row[1]), float(row[0]), OptionKind(row[2].strip().lower())))
-            except ValueError as exc:
-                raise DataError(f"{path} line {lineno}: {exc}") from exc
-    if not rows:
-        raise DataError(f"{path}: no contracts found")
-    return rows
-
-
 def cmd_price(args) -> int:
     model = load_model(args.model)
-    contracts = _read_grid(args.grid)
+    contracts = load_grid(args.grid)
     cfg = CosConfig(n_terms=args.n_terms)
     with open(args.out, "w", newline="") as fh:
         writer = csv.writer(fh)
@@ -180,10 +163,7 @@ def cmd_calibrate(args) -> int:
     if args.init:
         doc = json.loads(Path(args.init).read_text())
         try:
-            init = tuple(
-                RegimeParams(float(p["mu"]), float(p["sigma"]), float(p["alpha"]), float(p["beta"]))
-                for p in doc["regimes"]
-            )
+            init = regimes_from_dict(doc)
         except (KeyError, TypeError, ValueError) as exc:
             raise DataError(f"{args.init}: needs regimes with mu, sigma, alpha, beta: {exc}") from exc
         if len(init) != 2:

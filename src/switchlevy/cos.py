@@ -17,10 +17,11 @@ from enum import Enum
 from typing import Sequence
 
 import numpy as np
+from scipy.linalg import expm
 from scipy.stats import norm
 
-from .charfn import CharFn, switching_cf
-from .regime import SwitchingModel
+from .charfn import CharFn, increment_cumulants, switching_cf
+from .regime import SwitchingModel, generator_matrix
 
 
 class PricingError(RuntimeError):
@@ -65,39 +66,29 @@ class CosConfig:
 
 
 def log_return_cumulants(cf: CharFn) -> tuple[float, float, float]:
-    """Cumulants c1, c2, c4 of the variable whose CF is cf.
+    """Exact cumulants c1, c2, c4 of y0 + Z_t, the variable whose CF is cf.
 
-    Central differences of log phi at 0 with Richardson extrapolation.
-    c1 comes from the phase, c2 and c4 from log|phi| (even part), which
-    avoids phase unwrapping. The base step is 1e-4; the fourth difference
-    uses a wider, scale-aware step since 1e-4 would be destroyed by
-    cancellation in double precision.
+    The moment generating function is E[e^{theta Z_t}] = e_1^T exp(t K) 1
+    with K(theta) = Q + sum_n D_n theta^n / n!, where D_n holds the regimes'
+    unit-time increment cumulants kappa_{j,n} on its diagonal. The
+    exponential of the block upper-triangular Toeplitz matrix with first
+    block row t [Q, D_1, D_2/2!, D_3/3!, D_4/4!] has the Taylor coefficients
+    of exp(t K(theta)) as its first block row (Van Loan 1978), so block n of
+    row 0, summed and times n!, is the raw moment m_n.
     """
-    h = 1e-4
-    pts = np.array([h / 2, h])
-    phi = switching_cf(cf, np.concatenate([pts, -pts]))
-    ang = np.angle(phi)
-    lam = np.log(np.abs(phi))
-
-    def d1(i: int, step: float) -> float:
-        return (ang[i] - ang[i + 2]) / (2.0 * step)
-
-    def d2(i: int, step: float) -> float:
-        return (lam[i] + lam[i + 2]) / step**2
-
-    c1 = (4.0 * d1(0, h / 2) - d1(1, h)) / 3.0
-    c2 = -(4.0 * d2(0, h / 2) - d2(1, h)) / 3.0
-
-    h4 = float(np.clip(0.05 / math.sqrt(max(c2, 1e-12)), 1e-3, 50.0))
-    pts4 = np.array([h4 / 2, h4, 2 * h4])
-    lam4 = np.log(np.abs(switching_cf(cf, np.concatenate([pts4, -pts4]))))
-
-    def d4(i_h: int, i_2h: int, step: float) -> float:
-        even = lam4[i_h] + lam4[i_h + 3]
-        even2 = lam4[i_2h] + lam4[i_2h + 3]
-        return (even2 - 4.0 * even) / step**4
-
-    c4 = (16.0 * d4(0, 1, h4 / 2) - d4(1, 2, h4)) / 15.0
+    model = cf.model
+    factorials = np.array([1.0, 2.0, 6.0, 24.0])
+    kappa = np.array([increment_cumulants(p, model.family, 1.0) for p in model.regimes])
+    blocks = [generator_matrix(model)] + [np.diag(k) for k in (kappa / factorials).T]
+    big = np.zeros((5, 2, 5, 2))  # (block row, row, block column, column)
+    i = np.arange(5)
+    for n, block in enumerate(blocks):  # block n on the n-th block superdiagonal
+        big[i[: 5 - n], :, i[n:], :] = block
+    row = expm(cf.t * big.reshape(10, 10))[0].reshape(5, 2).sum(axis=1)
+    m1, m2, m3, m4 = row[1:] * factorials
+    c1 = m1 + cf.y0
+    c2 = m2 - m1**2
+    c4 = m4 - 4.0 * m3 * m1 - 3.0 * m2**2 + 12.0 * m2 * m1**2 - 6.0 * m1**4
     if not all(map(math.isfinite, (c1, c2, c4))):
         raise ValueError(f"non-finite cumulants c1={c1}, c2={c2}, c4={c4}")
     return float(c1), float(c2), float(c4)
@@ -155,11 +146,6 @@ def _guard_put_sums(raw: np.ndarray, strikes: np.ndarray) -> np.ndarray:
     for value in raw[raw < 0.0]:
         warnings.warn(f"clipping negative cosine price {value} to 0", stacklevel=3)
     return np.where(raw < 0.0, 0.0, raw)
-
-
-def _cos_put_sum(terms: np.ndarray, coeffs: np.ndarray, disc: float, strike: float) -> float:
-    raw = np.array([disc * float(terms @ coeffs)])
-    return float(_guard_put_sums(raw, np.array([strike]))[0])
 
 
 def price_put(cf: CharFn, contract: ContractSpec, config: CosConfig = CosConfig()) -> float:

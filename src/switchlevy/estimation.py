@@ -21,10 +21,9 @@ from numpy.polynomial.hermite import hermgauss
 from scipy import stats
 from scipy.optimize import least_squares, minimize
 
-from .charfn import regime_char_exponent
+from .charfn import increment_cumulants, regime_char_exponent
 from .mc import FrozenTerminalSampler
 from .regime import TRADING_DT, Family, RegimeParams
-from .subordinators import laplace_exponent_derivatives, spec_for
 
 DENSITY_FLOOR = 1e-300
 
@@ -205,19 +204,6 @@ def empirical_cf(returns, u):
     if np.isscalar(u) or np.asarray(u).ndim == 0:
         return complex(out[0])
     return out
-
-
-def increment_cumulants(
-    params: RegimeParams, family: Family, dt: float
-) -> tuple[float, float, float, float]:
-    """First four cumulants of a single-regime increment over dt."""
-    d1, d2, d3, d4 = laplace_exponent_derivatives(spec_for(params, family))
-    mu, v = params.mu, params.sigma**2
-    k1 = dt * d1 * mu
-    k2 = dt * (d2 * mu**2 + d1 * v)
-    k3 = dt * (d3 * mu**3 + 3.0 * d2 * mu * v)
-    k4 = dt * (d4 * mu**4 + 6.0 * d3 * mu**2 * v + 3.0 * d2 * v**2)
-    return k1, k2, k3, k4
 
 
 def theoretical_moments(params: RegimeParams, family: Family, dt: float) -> np.ndarray:

@@ -1,3 +1,5 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -220,6 +222,21 @@ class TestCalibrate:
         )
         assert result.objective_history[-1] == result.objective
         assert len(result.objective_history) == result.n_iters + 1
+
+    def test_init_on_bounds_face(self):
+        """An init with mu on both faces of its box: the solver starts from a
+        point moved inward by 1e-10, so the first recorded objective is the
+        objective at init to 1e-9, and the history still decreases."""
+        ctx = _context()
+        params = _true_params(ctx)
+        quotes = _synthetic_quotes(ctx, params, (1.0,), (0.9, 1.0, 1.1))
+        init = (replace(params[0], mu=1.0), replace(params[1], mu=-1.0))
+        config = sl.CalibConfig(max_iters=5)
+        result = sl.calibrate(quotes, ctx, init, config=config)
+        hist = np.array(result.objective_history)
+        assert hist.size >= 2
+        assert np.all(np.diff(hist) <= 1e-14)
+        assert hist[0] == pytest.approx(sl.calib_objective(*init, quotes, ctx, config), rel=1e-9)
 
     def test_max_iters_bounds_accepted_iterations(self):
         ctx = _context()

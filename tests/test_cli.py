@@ -74,6 +74,14 @@ class TestPriceCommand:
                      "--out", str(tmp_path / "o.csv")])
         assert code == 2
 
+    def test_short_grid_row_exits_2(self, tmp_path, model_file, capsys):
+        mf, _ = model_file
+        grid = tmp_path / "grid.csv"
+        grid.write_text("maturity,strike,kind\n1.0,20\n")
+        code = main(["price", "--model", str(mf), "--grid", str(grid), "--out", str(tmp_path / "o.csv")])
+        assert code == 2
+        assert "line 2" in capsys.readouterr().err
+
 
 class TestSimulateCommand:
     def test_deterministic_and_well_formed(self, tmp_path, model_file):

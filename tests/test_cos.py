@@ -6,7 +6,8 @@ import pytest
 from scipy.integrate import quad
 
 import switchlevy as sl
-from switchlevy.cos import _cos_put_sum, log_return_cumulants
+from switchlevy.charfn import increment_cumulants
+from switchlevy.cos import _guard_put_sums, log_return_cumulants
 
 from conftest import bs_reduced_model, rn_regime
 
@@ -52,6 +53,50 @@ class TestTruncationInterval:
         assert c1 == pytest.approx(0.04 - 0.125, abs=1e-9)
         assert c2 == pytest.approx(0.25, rel=1e-5)
         assert abs(c4) < 1e-6
+
+
+def acceptance9_ig_regimes() -> tuple[sl.RegimeParams, sl.RegimeParams]:
+    fam = sl.Family.INVERSE_GAUSSIAN
+    return rn_regime(0.25, 2.5, 2.0, fam, 0.04), rn_regime(0.45, 4.0, 3.0, fam, 0.04)
+
+
+class TestExactCumulants:
+    @pytest.mark.parametrize("family", list(sl.Family))
+    @pytest.mark.parametrize("t", [0.01, 1.0])
+    def test_single_regime_closed_form(self, family, t):
+        """Without switching the cumulants are the regime's own, t kappa_n."""
+        prm = sl.RegimeParams(-0.15, 0.4, 2.5, 1.5)
+        model = sl.SwitchingModel((prm, prm), 0.0, 0.0, family, 20.0, 0.04)
+        c1, c2, c4 = log_return_cumulants(sl.CharFn(model, t, y0=0.0))
+        k1, k2, _, k4 = increment_cumulants(prm, family, t)
+        assert c1 == pytest.approx(k1, rel=1e-12)
+        assert c2 == pytest.approx(k2, rel=1e-12)
+        if family is sl.Family.IDENTITY:
+            assert abs(c4) < 1e-12
+        else:
+            assert c4 == pytest.approx(k4, rel=1e-12)
+
+    def test_y0_shifts_only_the_mean(self):
+        model = fig4_gamma_model()
+        c1, c2, c4 = log_return_cumulants(sl.CharFn(model, 0.5, y0=0.0))
+        assert log_return_cumulants(sl.CharFn(model, 0.5, y0=0.7)) == (c1 + 0.7, c2, c4)
+
+    @pytest.mark.parametrize("intensities", [(2.5, 1.0), (20.0, 10.0)])
+    @pytest.mark.parametrize("t", [0.01, 0.25, 1.0, 2.0])
+    @pytest.mark.parametrize("case", ["fig4-gamma", "acceptance9-ig"])
+    def test_switching_against_contour_taylor_coefficients(self, case, intensities, t):
+        """Reference: Taylor coefficients of log E[e^{theta Z_t}] from a
+        64-point FFT of the CF at u = -i theta on the circle |theta| = 1."""
+        if case == "fig4-gamma":
+            regimes, family = fig4_gamma_model().regimes, sl.Family.GAMMA
+        else:
+            regimes, family = acceptance9_ig_regimes(), sl.Family.INVERSE_GAUSSIAN
+        model = sl.SwitchingModel(regimes, *intensities, family, 20.0, 0.04)
+        cf = sl.CharFn(model, t, y0=0.0)
+        theta = np.exp(2j * np.pi * np.arange(64) / 64)
+        taylor = np.fft.fft(np.log(sl.switching_cf(cf, -1j * theta))) / 64
+        reference = (taylor[1].real, 2.0 * taylor[2].real, 24.0 * taylor[4].real)
+        np.testing.assert_allclose(log_return_cumulants(cf), reference, rtol=1e-9, atol=0.0)
 
 
 class TestPutCoefficients:
@@ -220,12 +265,12 @@ class TestGuards:
     def test_truncation_noise_clipped_with_warning(self):
         with warnings.catch_warnings(record=True) as caught:
             warnings.simplefilter("always")
-            assert _cos_put_sum(np.array([-5e-9]), np.array([1.0]), 1.0, 1.0) == 0.0
+            assert _guard_put_sums(np.array([-5e-9]), np.array([1.0]))[0] == 0.0
         assert any("clipping" in str(w.message) for w in caught)
 
     def test_large_negative_sum_raises(self):
         with pytest.raises(sl.PricingError):
-            _cos_put_sum(np.array([-1e-3]), np.array([1.0]), 1.0, 1.0)
+            _guard_put_sums(np.array([-1e-3]), np.array([1.0]))
 
     @staticmethod
     def _lower_cf_at_zero(monkeypatch, shift):

@@ -7,6 +7,7 @@ import pytest
 import switchlevy as sl
 from switchlevy.data_io import (
     DataError,
+    load_grid,
     load_model,
     load_prices,
     load_quotes,
@@ -102,6 +103,29 @@ class TestLoadQuotes:
         f = _write(tmp_path / "q.csv", "maturity,strike,kind,mid\n1.0,20,straddle,2.5\n")
         with pytest.raises(DataError, match="line 2"):
             load_quotes(f)
+
+
+class TestLoadGrid:
+    def test_rows_in_file_order(self, tmp_path):
+        f = _write(tmp_path / "g.csv", "maturity,strike,kind\n1.0,18,call\n\n0.5,22,PUT\n")
+        assert load_grid(f) == [
+            sl.ContractSpec(18.0, 1.0, sl.OptionKind.CALL),
+            sl.ContractSpec(22.0, 0.5, sl.OptionKind.PUT),
+        ]
+
+    @pytest.mark.parametrize(
+        "text, match",
+        [
+            ("maturity,strike,kind\n1.0,20,call\n1.0,20\n", "line 3"),
+            ("maturity,strike,kind\n1.0,20,swap\n", "line 2"),
+            ("maturity,strike,kind\n-1.0,20,call\n", "line 2"),
+            ("strike,maturity,kind\n20,1.0,call\n", "expected header"),
+            ("maturity,strike,kind\n", "no contracts"),
+        ],
+    )
+    def test_bad_grid_rejected(self, tmp_path, text, match):
+        with pytest.raises(DataError, match=match):
+            load_grid(_write(tmp_path / "g.csv", text))
 
 
 class TestModelFile:
