@@ -17,7 +17,7 @@ from dataclasses import dataclass, field
 import numpy as np
 from scipy.optimize import least_squares
 
-from .cos import ContractSpec, CosConfig, OptionKind, price_table
+from .cos import ContractSpec, CosConfig, OptionKind, price_table, price_table_jacobian
 from .estimation import ParamBounds
 from .mc import FrozenTerminalSampler
 from .regime import Family, RegimeParams, SwitchingModel
@@ -64,6 +64,11 @@ class QuoteTable:
 
 @dataclass(frozen=True)
 class CalibConfig:
+    """Solver settings. fd_rel_step is the relative alpha step of the one
+    forward difference left in the Jacobian, the alpha derivative of the
+    Monte Carlo rows under a Gamma clock (gammaincinv has no derivative in
+    scipy); every other derivative is exact."""
+
     step_tolerance: float = 1e-10
     max_iters: int = 1000
     otm_call_moneyness: float = 1.05
@@ -109,48 +114,92 @@ def is_otm(row: QuoteRow, s0: float, config: CalibConfig) -> bool:
 class _ObjectiveState:
     """Caches the frozen MC samplers (one per OTM maturity) so the same
     random numbers drive every objective evaluation; each sampler runs
-    once per evaluation and serves every OTM row of its maturity."""
+    once per evaluation and serves every OTM row of its maturity. The
+    terminal prices of the last point evaluated are kept for the Jacobian,
+    which the solver asks for at that point."""
 
     def __init__(self, quotes: QuoteTable, ctx: CalibContext, config: CalibConfig):
         self.ctx = ctx
         self.config = config
         self.cos_rows = [r for r in quotes if not is_otm(r, ctx.s0, config)]
         self.mc_rows = [r for r in quotes if is_otm(r, ctx.s0, config)]
+        self.cos_contracts = [ContractSpec(r.strike, r.maturity, r.kind) for r in self.cos_rows]
         self.mids = np.array([r.mid for r in self.cos_rows + self.mc_rows])
         self.samplers: dict[float, FrozenTerminalSampler] = {}
         for i, t in enumerate(sorted({r.maturity for r in self.mc_rows})):
             self.samplers[t] = FrozenTerminalSampler(
                 ctx.family, ctx.lambda12, ctx.lambda21, t, config.mc_paths, config.mc_seed + i
             )
+        self._terminal: tuple = (None, {})
 
-    def residuals(self, theta1: RegimeParams, theta2: RegimeParams) -> np.ndarray:
-        """Model price minus mid, cosine rows then Monte Carlo rows, over
-        sqrt(n): its Euclidean norm is the root-mean-squared error."""
+    def _model(self, theta1: RegimeParams, theta2: RegimeParams) -> SwitchingModel:
         ctx = self.ctx
-        model = SwitchingModel((theta1, theta2), ctx.lambda12, ctx.lambda21, ctx.family, ctx.s0, ctx.r)
-        prices = []
-        if self.cos_rows:
-            contracts = [ContractSpec(r.strike, r.maturity, r.kind) for r in self.cos_rows]
-            try:
-                prices.extend(price_table(model, contracts, self.config.cos))
-            except Exception as exc:
-                raise CalibrationError(f"cosine pricing failed on rows {contracts}: {exc}") from exc
-        terminal: dict[float, np.ndarray] = {}
+        return SwitchingModel((theta1, theta2), ctx.lambda12, ctx.lambda21, ctx.family, ctx.s0, ctx.r)
+
+    def _terminal_prices(self, theta1: RegimeParams, theta2: RegimeParams) -> dict[float, np.ndarray]:
+        """S_T on the frozen paths of each OTM maturity."""
+        point, terminal = self._terminal
+        if point == (theta1, theta2):
+            return terminal
+        terminal = {}
         for maturity, sampler in self.samplers.items():
             try:
-                terminal[maturity] = ctx.s0 * np.exp(sampler.evaluate(theta1, theta2))
+                terminal[maturity] = self.ctx.s0 * np.exp(sampler.evaluate(theta1, theta2))
             except Exception as exc:
                 raise CalibrationError(
                     f"Monte Carlo pricing failed at maturity T={maturity}: {exc}"
                 ) from exc
+        self._terminal = ((theta1, theta2), terminal)
+        return terminal
+
+    def residuals(self, theta1: RegimeParams, theta2: RegimeParams) -> np.ndarray:
+        """Model price minus mid, cosine rows then Monte Carlo rows, over
+        sqrt(n): its Euclidean norm is the root-mean-squared error."""
+        prices = []
+        if self.cos_rows:
+            try:
+                model = self._model(theta1, theta2)
+                prices.extend(price_table(model, self.cos_contracts, self.config.cos))
+            except Exception as exc:
+                raise CalibrationError(
+                    f"cosine pricing failed on rows {self.cos_contracts}: {exc}"
+                ) from exc
+        terminal = self._terminal_prices(theta1, theta2)
         for row in self.mc_rows:
             s_t = terminal[row.maturity]
             if row.kind is OptionKind.CALL:
                 payoff = np.maximum(s_t - row.strike, 0.0)
             else:
                 payoff = np.maximum(row.strike - s_t, 0.0)
-            prices.append(math.exp(-ctx.r * row.maturity) * float(payoff.mean()))
+            prices.append(math.exp(-self.ctx.r * row.maturity) * float(payoff.mean()))
         return (np.array(prices) - self.mids) / math.sqrt(self.mids.size)
+
+    def jacobian(self, theta1: RegimeParams, theta2: RegimeParams) -> np.ndarray:
+        """d residuals / d(theta1, theta2), shape (n, 8): the cosine rows
+        from `price_table_jacobian`, the Monte Carlo rows pathwise, where a
+        path adds disc 1{S_T > K} S_T dZ_T/dtheta to a call's mean and
+        -disc 1{S_T < K} S_T dZ_T/dtheta to a put's."""
+        jac = np.empty((self.mids.size, 8))
+        n_cos = len(self.cos_rows)
+        if self.cos_rows:
+            model = self._model(theta1, theta2)
+            jac[:n_cos] = price_table_jacobian(model, self.cos_contracts, self.config.cos)
+        terminal = self._terminal_prices(theta1, theta2)
+        for maturity, sampler in self.samplers.items():
+            s_t = terminal[maturity]
+            rows = [i for i, row in enumerate(self.mc_rows) if row.maturity == maturity]
+            weights = np.empty((len(rows), s_t.size))
+            for w, i in zip(weights, rows):
+                row = self.mc_rows[i]
+                if row.kind is OptionKind.CALL:
+                    np.multiply(s_t > row.strike, s_t, out=w)
+                else:
+                    np.multiply(s_t < row.strike, -s_t, out=w)
+            weights *= math.exp(-self.ctx.r * maturity) / s_t.size
+            jac[n_cos + np.array(rows)] = sampler.weighted_gradient(
+                theta1, theta2, weights, self.config.fd_rel_step
+            )
+        return jac / math.sqrt(self.mids.size)
 
     def evaluate(self, theta1: RegimeParams, theta2: RegimeParams) -> float:
         return float(np.linalg.norm(self.residuals(theta1, theta2)))
@@ -182,15 +231,17 @@ def calibrate(
     """Trust-region least squares on both regimes' parameters.
 
     One scipy least_squares call (method 'trf', Branch, Coleman & Li 1999)
-    on the residual vector inside the bounds box: forward-difference
-    Jacobians with relative step config.fd_rel_step, coordinates scaled
-    by their initial magnitudes, xtol = step_tolerance, and at most
-    max_iters accepted iterations. objective_history holds the objective
-    at the solver's start point and at each accepted iterate, so it
-    decreases. The start point is init, except that 'trf' first moves a
-    coordinate lying on a face of the bounds box inward by 1e-10 of
-    max(1, |bound|); objective_history[0] then differs from the objective
-    at init by about that much.
+    on the residual vector inside the bounds box: exact Jacobians (closed-
+    form cosine sensitivities with the truncation interval held fixed, and
+    pathwise derivatives through the frozen Monte Carlo draws, whose Gamma
+    alpha column alone is a forward difference with relative step
+    config.fd_rel_step), coordinates scaled by their initial magnitudes,
+    xtol = step_tolerance, and at most max_iters accepted iterations.
+    objective_history holds the objective at the solver's start point and
+    at each accepted iterate, so it decreases. The start point is init,
+    except that 'trf' first moves a coordinate lying on a face of the
+    bounds box inward by 1e-10 of max(1, |bound|); objective_history[0]
+    then differs from the objective at init by about that much.
     """
     state = _ObjectiveState(quotes, ctx, config)
     lower = np.concatenate([bounds.lower()] * 2)
@@ -224,8 +275,9 @@ def calibrate(
                 raise StopIteration
 
     fit = least_squares(
-        residuals, x0, method="trf", bounds=(lower, upper), x_scale=np.maximum(np.abs(x0), 1e-2),
-        diff_step=config.fd_rel_step, xtol=config.step_tolerance, callback=on_iteration,
+        residuals, x0, jac=lambda v: state.jacobian(*unpack(v)), method="trf",
+        bounds=(lower, upper), x_scale=np.maximum(np.abs(x0), 1e-2), xtol=config.step_tolerance,
+        callback=on_iteration,
     )
     objective = float(np.linalg.norm(fit.fun))
     return CalibrationResult(

@@ -62,6 +62,31 @@ def regime_char_exponent(params: RegimeParams, family: Family, u):
     return laplace_exponent(spec_for(params, family), arg)
 
 
+def regime_char_exponent_grad(params: RegimeParams, family: Family, u) -> np.ndarray:
+    """Derivatives of Psi(u) = ell(s), s = i mu u - sigma^2 u^2 / 2, in
+    (mu, sigma, alpha, beta), stacked on a leading axis of length 4.
+
+    d/dmu = ell'(s) i u and d/dsigma = -ell'(s) sigma u^2; ell is linear
+    in alpha, so d/dalpha = ell/alpha; d/dbeta is -alpha s/(beta(beta - s))
+    for Gamma and -alpha(beta/sqrt(beta^2 - 2s) - 1) for IG. The identity
+    clock has no alpha or beta.
+    """
+    u = np.asarray(u, dtype=complex)
+    s = 1j * params.mu * u - 0.5 * params.sigma**2 * u * u
+    ell = np.asarray(laplace_exponent(spec_for(params, family), s))
+    a, b = params.alpha, params.beta
+    if family is Family.IDENTITY:
+        slope, d_alpha, d_beta = np.ones_like(s), np.zeros_like(s), np.zeros_like(s)
+    elif family is Family.GAMMA:
+        slope = a / (b - s)
+        d_alpha, d_beta = ell / a, -s * slope / b
+    else:
+        root = np.sqrt(b * b - 2.0 * s)
+        slope = a / root
+        d_alpha, d_beta = ell / a, -a * (b / root - 1.0)
+    return np.stack([1j * u * slope, -params.sigma * u * u * slope, d_alpha, d_beta])
+
+
 def increment_cumulants(
     params: RegimeParams, family: Family, dt: float
 ) -> tuple[float, float, float, float]:
@@ -147,14 +172,15 @@ class CharFn:
             object.__setattr__(self, "y0", math.log(self.model.s0))
 
 
-def expm_row_sum(a: np.ndarray) -> np.ndarray:
-    """e_1^T exp(A) [1, 1]^T for a stack of 2x2 matrices, shape (n, 2, 2).
+def _row_sum_parts(a: np.ndarray):
+    """Eigenvalue pieces of a stack of 2x2 matrices: h = (a11 - a22)/2, d,
+    the cosh part e^m cosh d and the sinh part e^m sinh(d)/d.
 
-    Closed form through the eigenvalues m +/- d of A. The cosh part is
-    (e^{m+d} + e^{m-d}) / 2, which cannot overflow when Re(m +/- d) <= 0.
-    The sinh part is (e^{m+d} - e^{m-d}) / (2d) for |d| >= 1 and
-    e^m sinh(d)/d for |d| < 1, where the difference would cancel; the
-    latter tends to e^m as d -> 0, so a defective A needs no special case.
+    The cosh part is (e^{m+d} + e^{m-d}) / 2, which cannot overflow when
+    Re(m +/- d) <= 0. The sinh part is (e^{m+d} - e^{m-d}) / (2d) for
+    |d| >= 1 and e^m sinh(d)/d for |d| < 1, where the difference would
+    cancel; the latter tends to e^m as d -> 0, so a defective A needs no
+    special case.
     """
     a = np.asarray(a, dtype=complex)
     if not np.all(np.isfinite(a)):
@@ -171,7 +197,46 @@ def expm_row_sum(a: np.ndarray) -> np.ndarray:
     nonzero = ds != 0
     sinhc[nonzero] = np.sinh(ds[nonzero]) / ds[nonzero]
     sinh_part[small] = np.exp(m[small]) * sinhc
-    return 0.5 * (e_plus + e_minus) + sinh_part * (h + a[:, 0, 1])
+    return m, h, d, small, 0.5 * (e_plus + e_minus), sinh_part
+
+
+def expm_row_sum(a: np.ndarray) -> np.ndarray:
+    """e_1^T exp(A) [1, 1]^T for a stack of 2x2 matrices, shape (n, 2, 2),
+    in closed form through the eigenvalues m +/- d of A."""
+    a = np.asarray(a, dtype=complex)
+    _, h, _, _, cosh_part, sinh_part = _row_sum_parts(a)
+    return cosh_part + sinh_part * (h + a[:, 0, 1])
+
+
+# T(d^2) = (cosh d - sinh(d)/d) / (2 d^2) = sum_j (j + 1) d^{2j} / (2j + 3)!,
+# summed to j = 10 for |d| < 1 (the next term is below 1e-21)
+_T_SERIES = np.array([(j + 1) / math.factorial(2 * j + 3) for j in range(11)])
+
+
+def expm_row_sum_grad(a: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """f = e_1^T exp(A) [1, 1]^T and its derivatives in a11 and a22.
+
+    With f = e^m [cosh d + S (h + a12)], S = sinh(d)/d, d^2 = h^2 + a12 a21
+    and T = dS/d(d^2) = (cosh d - S) / (2 d^2),
+
+        df/da11 = f/2 + e^m [S h/2 + T h (h + a12) + S/2],
+        df/da22 = f/2 - e^m [S h/2 + T h (h + a12) + S/2].
+
+    Since cosh d - S = 2 d^2 T, the second is e^m a12 [S/2 + T (a21 - h)],
+    which is formed directly so that it carries no cancellation against
+    f/2 (it vanishes with a12, when regime 2 is never reached); the first
+    is then f minus the second, as shifting A by c I scales f by e^c. T is
+    taken from its series for |d| < 1, which avoids the 0/0 limit at a
+    defective A, and from the cosh and sinh parts otherwise.
+    """
+    a = np.asarray(a, dtype=complex)
+    m, h, d, small, cosh_part, sinh_part = _row_sum_parts(a)
+    f = cosh_part + sinh_part * (h + a[:, 0, 1])
+    d2 = d * d
+    t_part = (cosh_part - sinh_part) / (2.0 * np.where(small, 1.0, d2))
+    t_part[small] = np.exp(m[small]) * np.polynomial.polynomial.polyval(d2[small], _T_SERIES)
+    df_da22 = a[:, 0, 1] * (0.5 * sinh_part + t_part * (a[:, 1, 0] - h))
+    return f, f - df_da22, df_da22
 
 
 def switching_cf(cf: CharFn, u):

@@ -12,7 +12,7 @@ import numpy as np
 
 from .calibration import CalibConfig, CalibContext, CalibrationError, calibrate
 from .charfn import CharFn, switching_cf
-from .cos import ContractSpec, CosConfig, OptionKind, bs_closed_form, price_table
+from .cos import ContractSpec, CosConfig, OptionKind, PricingError, bs_closed_form, price_table
 from .data_io import (
     DataError,
     load_grid,
@@ -44,25 +44,27 @@ BS_CHECK_S0 = 20.0
 def cmd_price(args) -> int:
     model = load_model(args.model)
     contracts = load_grid(args.grid)
-    cfg = CosConfig(n_terms=args.n_terms)
+    # every price is computed before --out is opened, so a failure leaves no file
+    if args.method == "cos":
+        prices = price_table(model, contracts, CosConfig(n_terms=args.n_terms))
+        header = ["maturity", "strike", "kind", "price", "method"]
+        rows = [
+            [c.maturity, c.strike, c.kind.value, repr(float(p)), "cos"] for c, p in zip(contracts, prices)
+        ]
+    else:
+        rng = np.random.default_rng(args.seed)
+        header = ["maturity", "strike", "kind", "price", "method", "std_error", "ci_lo", "ci_hi", "n_paths"]
+        rows = []
+        for c in contracts:
+            res = price_european_mc(model, c, args.paths, dt=args.dt, rng=rng, seed=args.seed)
+            rows.append(
+                [c.maturity, c.strike, c.kind.value, repr(res.price), "mc",
+                 repr(res.std_error), repr(res.ci95[0]), repr(res.ci95[1]), res.n_paths]
+            )
     with open(args.out, "w", newline="") as fh:
         writer = csv.writer(fh)
-        if args.method == "cos":
-            prices = price_table(model, contracts, cfg)
-            writer.writerow(["maturity", "strike", "kind", "price", "method"])
-            for c, p in zip(contracts, prices):
-                writer.writerow([c.maturity, c.strike, c.kind.value, repr(float(p)), "cos"])
-        else:
-            rng = np.random.default_rng(args.seed)
-            writer.writerow(
-                ["maturity", "strike", "kind", "price", "method", "std_error", "ci_lo", "ci_hi", "n_paths"]
-            )
-            for c in contracts:
-                res = price_european_mc(model, c, args.paths, dt=args.dt, rng=rng, seed=args.seed)
-                writer.writerow(
-                    [c.maturity, c.strike, c.kind.value, repr(res.price), "mc",
-                     repr(res.std_error), repr(res.ci95[0]), repr(res.ci95[1]), res.n_paths]
-                )
+        writer.writerow(header)
+        writer.writerows(rows)
     print(f"wrote {len(contracts)} prices to {args.out}")
     return 0
 
@@ -315,7 +317,7 @@ def main(argv=None) -> int:
         return int(exc.code or 0)
     try:
         return args.func(args)
-    except (DataError, EstimationError, CalibrationError, ValueError, OSError) as exc:
+    except (DataError, EstimationError, CalibrationError, PricingError, ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

@@ -5,7 +5,8 @@ truncated interval [a, b]; calls always go through put-call parity
 (call = put + S0 - K exp(-rT)) because the direct call coefficients
 diverge for large b while the put coefficients stay bounded. The parity
 correction is applied once, after the summation. `price_table` is the one
-pricing kernel; `price_put`, `price_call` and `price_contract` wrap it.
+pricing kernel; `price_put`, `price_call` and `price_contract` wrap it, and
+`price_table_jacobian` differentiates it in the regime parameters.
 """
 
 from __future__ import annotations
@@ -20,7 +21,14 @@ import numpy as np
 from scipy.linalg import expm
 from scipy.stats import norm
 
-from .charfn import CharFn, increment_cumulants, switching_cf
+from .charfn import (
+    CharFn,
+    expm_row_sum_grad,
+    increment_cumulants,
+    phi_matrix_batch,
+    regime_char_exponent_grad,
+    switching_cf,
+)
 from .regime import SwitchingModel, generator_matrix
 
 
@@ -182,6 +190,35 @@ def price_contract(
     return float(price_table(model, [contract], config)[0])
 
 
+def _by_maturity(contracts: Sequence[ContractSpec]) -> dict[float, list[int]]:
+    by_t: dict[float, list[int]] = {}
+    for i, c in enumerate(contracts):
+        by_t.setdefault(c.maturity, []).append(i)
+    return by_t
+
+
+def _maturity_setup(model: SwitchingModel, maturity: float, strikes: np.ndarray, config: CosConfig):
+    """The pieces of one maturity's cosine sums shared by `price_table` and
+    `price_table_jacobian`: the y0 = 0 CF, the u grid, the phase factor
+    exp(i u phase) and the (K, n_terms) payoff coefficients.
+
+    The strike enters only through the log-moneyness x0 = log(s0/K). With
+    the automatic interval, [a, b] is the cumulant interval of the y0 = 0
+    CF shifted by x0, so the phase u (x0 - a) is shared by every strike and
+    the factor has shape (n_terms,); with a user interval each strike gets
+    its own phase row, shape (K, n_terms).
+    """
+    x0 = np.log(model.s0 / strikes)
+    base = CharFn(model, maturity, y0=0.0)
+    a0, b0 = truncation_interval(base, config)
+    u = np.arange(config.n_terms) * np.pi / (b0 - a0)
+    if config.interval is None:
+        a, b, phase = x0 + a0, x0 + b0, -a0
+    else:
+        a, b, phase = a0, b0, (x0 - a0)[:, None]
+    return base, u, np.exp(1j * u * phase), put_coefficients(strikes, a, b, config.n_terms)
+
+
 def price_table(
     model: SwitchingModel,
     contracts: Sequence[ContractSpec],
@@ -189,39 +226,55 @@ def price_table(
 ) -> np.ndarray:
     """COS prices of a grid of contracts, with one CF sweep per maturity.
 
-    The CF is evaluated once per maturity at y0 = 0, and the strike enters
-    only through the log-moneyness x0 = log(s0/K). With the automatic
-    interval, [a, b] is the cumulant interval of the y0 = 0 CF shifted by
-    x0, so the phase u (x0 - a) and hence the cosine terms are shared by
-    every strike; with a user interval each strike gets its own phase row.
-    All strikes of a maturity are summed at once as a (K, n_terms) matrix
-    of payoff coefficients against the terms.
+    The CF is evaluated once per maturity at y0 = 0 (see `_maturity_setup`
+    for how strikes and the interval enter). All strikes of a maturity are
+    summed at once as a (K, n_terms) matrix of payoff coefficients against
+    the terms.
     """
     prices = np.empty(len(contracts))
-    by_t: dict[float, list[int]] = {}
-    for i, c in enumerate(contracts):
-        by_t.setdefault(c.maturity, []).append(i)
-
-    for maturity, idx in by_t.items():
+    for maturity, idx in _by_maturity(contracts).items():
         strikes = np.array([contracts[i].strike for i in idx])
-        x0 = np.log(model.s0 / strikes)
-        base = CharFn(model, maturity, y0=0.0)
-        a0, b0 = truncation_interval(base, config)
-        u = np.arange(config.n_terms) * np.pi / (b0 - a0)
-        if config.interval is None:
-            a, b, phase = x0 + a0, x0 + b0, -a0
-        else:
-            a, b, phase = a0, b0, (x0 - a0)[:, None]
-        terms = np.real(switching_cf(base, u) * np.exp(1j * u * phase))
+        base, u, rotation, coeffs = _maturity_setup(model, maturity, strikes, config)
+        terms = np.real(switching_cf(base, u) * rotation)
         terms[..., 0] *= 0.5
         disc = math.exp(-model.r * maturity)
-        coeffs = put_coefficients(strikes, a, b, config.n_terms)
         # one dot product per contract, for shared (n,) and per-strike (K, n) terms alike
         raw = disc * (coeffs[:, None, :] @ terms[..., None])[:, 0, 0]
         puts = _guard_put_sums(raw, strikes)
         is_call = np.array([contracts[i].kind is OptionKind.CALL for i in idx])
         prices[idx] = np.where(is_call, puts + model.s0 - strikes * disc, puts)
     return prices
+
+
+def price_table_jacobian(
+    model: SwitchingModel,
+    contracts: Sequence[ContractSpec],
+    config: CosConfig = CosConfig(),
+) -> np.ndarray:
+    """Derivatives of the `price_table` prices in (mu, sigma, alpha, beta)
+    of regime 1 then regime 2, shape (len(contracts), 8).
+
+    A parameter of regime j enters Phi(u) only through its diagonal entry
+    Psi_j, so d phi/d theta = t (df/da_jj) dPsi_j/dtheta with f the row sum
+    of exp(t Phi(u)); the eight derivative rows are summed against the same
+    payoff coefficients and phase as the prices, with the truncation
+    interval held at its value at the model. Calls and puts share their
+    sensitivities (put-call parity).
+    """
+    jac = np.empty((len(contracts), 8))
+    family = model.family
+    for maturity, idx in _by_maturity(contracts).items():
+        strikes = np.array([contracts[i].strike for i in idx])
+        _, u, rotation, coeffs = _maturity_setup(model, maturity, strikes, config)
+        _, df_da11, df_da22 = expm_row_sum_grad(maturity * phi_matrix_batch(model, u))
+        dphi = maturity * np.concatenate([
+            df_da11 * regime_char_exponent_grad(model.regimes[0], family, u),
+            df_da22 * regime_char_exponent_grad(model.regimes[1], family, u),
+        ])
+        terms = np.real(dphi * rotation[..., None, :])  # (8, n) or (K, 8, n)
+        terms[..., 0] *= 0.5
+        jac[idx] = math.exp(-model.r * maturity) * (terms @ coeffs[:, :, None])[..., 0]
+    return jac
 
 
 def bs_closed_form(

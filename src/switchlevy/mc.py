@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import math
 from collections import OrderedDict
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -187,19 +187,20 @@ class FrozenTerminalSampler:
     The regime trajectory depends only on the (fixed) intensities, so
     sojourns and all driving draws are frozen at construction; evaluate()
     maps regime parameters to terminal log returns through smooth
-    inverse-CDF transforms of those draws. Used by objectives that are
-    differenced numerically in the parameters: the option-quote
-    calibration, and the simulated likelihood, where lambda12 = 0 leaves a
-    single round of single-regime increments over the horizon.
+    inverse-CDF transforms of those draws, and weighted_gradient() gives
+    their pathwise derivatives. Used by the option-quote calibration,
+    whose Jacobian is pathwise, and by the simulated likelihood, which is
+    differenced numerically and where lambda12 = 0 leaves a single round
+    of single-regime increments over the horizon.
 
     Each round of sojourns keeps its last few subordinator increments
-    (least recently used out), so a finite-difference probe in mu or sigma,
-    or in beta for Gamma, reuses the increment of the point it was taken
-    from instead of transforming the draws again. The transform of a
-    Gamma round depends on alpha alone: its increment is kept for
-    beta = 1 and divided by beta, which is the division the transform
-    makes. A reused evaluation is bit-for-bit the one a fresh sampler
-    gives.
+    (least recently used out), so the Jacobian at the point just
+    evaluated, and a finite-difference probe in mu or sigma, or in beta
+    for Gamma, reuse the increment of that point instead of transforming
+    the draws again. The transform of a Gamma round depends on alpha
+    alone: its increment is kept for beta = 1 and divided by beta, which
+    is the division the transform makes. A reused evaluation is
+    bit-for-bit the one a fresh sampler gives.
     """
 
     def __init__(
@@ -243,6 +244,50 @@ class FrozenTerminalSampler:
             z[idx] += prm.mu * dl + prm.sigma * np.sqrt(dl) * nrm
         return z
 
+    def weighted_gradient(
+        self,
+        theta1: RegimeParams,
+        theta2: RegimeParams,
+        weights: np.ndarray,
+        fd_rel_step: float,
+    ) -> np.ndarray:
+        """sum_paths w_r(path) dZ_T/dtheta for each row r of weights (R,
+        n_paths), theta = (mu, sigma, alpha, beta) of regime 1 then regime
+        2; shape (R, 8).
+
+        Pathwise derivatives through the frozen draws, round by round: a
+        round adds mu L + sigma sqrt(L) N, so dZ/dmu = L, dZ/dsigma =
+        sqrt(L) N and dZ/d{alpha, beta} = (mu + sigma N / (2 sqrt(L)))
+        dL/d{alpha, beta}. The IG transform is differentiated in closed
+        form (`_ig_increment_grad`); a Gamma increment is gammaincinv(alpha
+        T, u) / beta, so dL/dbeta = -L/beta, and its alpha derivative, which
+        scipy does not provide, is a forward difference of the round's
+        contribution with step fd_rel_step * alpha. The increments come
+        from the kept ones, so right after `evaluate` at the same point only
+        that Gamma alpha probe transforms the draws again.
+        """
+        jac = np.zeros((8, weights.shape[0]))
+        for idx, dur, state, (u, nu, zz, nrm), kept in self._rounds:
+            prm = theta1 if state == 1 else theta2
+            dl = self._increment(prm, dur, u, nu, zz, kept)
+            root = np.sqrt(dl)
+            if self.family is Family.GAMMA:
+                alpha_h = prm.alpha * (1.0 + fd_rel_step)
+                dl_h = self._increment(replace(prm, alpha=alpha_h), dur, u, nu, zz, kept)
+                d_alpha = (prm.mu * (dl_h - dl) + prm.sigma * (np.sqrt(dl_h) - root) * nrm) / (
+                    alpha_h - prm.alpha
+                )
+                d_beta = -(prm.mu * dl + 0.5 * prm.sigma * root * nrm) / prm.beta
+            elif self.family is Family.INVERSE_GAUSSIAN:
+                dl_alpha, dl_beta = _ig_increment_grad(prm.alpha, prm.beta, dur, nu, zz, dl)
+                slope = prm.mu + 0.5 * prm.sigma * nrm / root
+                d_alpha, d_beta = slope * dl_alpha, slope * dl_beta
+            else:
+                d_alpha = d_beta = np.zeros_like(dl)
+            rows = slice(0, 4) if state == 1 else slice(4, 8)
+            jac[rows] += np.stack([dl, root * nrm, d_alpha, d_beta]) @ np.take(weights, idx, axis=1).T
+        return jac.T
+
     def _increment(self, prm: RegimeParams, dur, u, nu, zz, kept: OrderedDict) -> np.ndarray:
         beta_free = self.family is Family.GAMMA
         key = prm.alpha if beta_free else (prm.alpha, prm.beta)
@@ -255,3 +300,23 @@ class FrozenTerminalSampler:
         else:
             kept.move_to_end(key)
         return dl / prm.beta if beta_free else dl
+
+
+def _ig_increment_grad(alpha: float, beta: float, dur, nu, zz, dl):
+    """dL/dalpha and dL/dbeta of the Michael-Schucany-Haas IG increment L.
+
+    With mean m = alpha T / beta and shape (alpha T)^2 the transform is
+    L = m G(phi), phi = alpha beta T, where G is g or 1/g by the
+    transform's selection z <= 1/(1 + g), g = 1 - 2y/(y + r), y = nu^2 and
+    r = sqrt(4 phi y + y^2); g' = 4y^2 / (r (y + r)^2). As m phi =
+    (alpha T)^2, dL/dalpha = (L + D)/alpha and dL/dbeta = (D - L)/beta with
+    D = (alpha T)^2 G'(phi). With q = y + r, g = 4 phi y / q^2 and
+    1 + g = 2r/q, so the selection is 2 r z <= q and D is
+    (2 alpha T y / q)^2 / r on the g branch and -(q / (2 beta))^2 / r on
+    the 1/g branch: no difference cancels.
+    """
+    y = nu * nu
+    r = np.sqrt(y * ((4.0 * alpha * beta) * dur + y))
+    q = y + r
+    d = np.where(2.0 * r * zz <= q, ((2.0 * alpha) * dur * y / q) ** 2, -(q / (2.0 * beta)) ** 2) / r
+    return (dl + d) / alpha, (d - dl) / beta

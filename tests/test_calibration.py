@@ -10,6 +10,7 @@ from conftest import rn_regime
 CALL = sl.OptionKind.CALL
 PUT = sl.OptionKind.PUT
 IG = sl.Family.INVERSE_GAUSSIAN
+GAMMA = sl.Family.GAMMA
 
 
 def _context(family=IG, l12=2.5, l21=1.0, s0=20.0, r=0.04):
@@ -271,6 +272,104 @@ class TestCalibrate:
     def test_config_validation(self):
         with pytest.raises(ValueError):
             sl.CalibConfig(step_tolerance=0.0)
+
+
+class TestJacobian:
+    """The exact Jacobian of the calibration residuals against central
+    differences of the residuals themselves."""
+
+    @staticmethod
+    def _state(family, cos=sl.CosConfig()):
+        ctx = _context(family)
+        params = _true_params(ctx)
+        model = _model(ctx, params)
+        rows = []
+        for t in (0.5, 1.0):
+            # OTM calls at 1.1 and 1.15 and an OTM put at 0.9 go to Monte Carlo
+            for m, kind in ((0.9, CALL), (1.0, CALL), (1.1, CALL), (1.15, CALL), (0.9, PUT), (1.0, PUT)):
+                price = sl.price_table(model, [sl.ContractSpec(ctx.s0 * m, t, kind)])[0]
+                rows.append(sl.QuoteRow(t, ctx.s0 * m, kind, 0.95 * price))
+        config = sl.CalibConfig(mc_paths=2000, mc_seed=3, cos=cos)
+        state = sl.calibration._ObjectiveState(sl.QuoteTable(tuple(rows)), ctx, config)
+        assert len(state.mc_rows) == 6 and len(state.cos_rows) == 6
+        return state, tuple(sl.RegimeParams(*(p.as_array() * 1.05)) for p in params)
+
+    @pytest.mark.parametrize("family", [IG, GAMMA])
+    @pytest.mark.parametrize("interval", [None, (-2.5, 2.0)])
+    def test_against_central_differences(self, family, interval, monkeypatch):
+        state, theta = self._state(family, sl.CosConfig(interval=interval))
+        jac = state.jacobian(*theta)
+        x = np.concatenate([p.as_array() for p in theta])
+        # the Jacobian holds the automatic interval at its value at theta,
+        # so the differences do too
+        held = {}
+        interval_at = sl.cos.truncation_interval
+        monkeypatch.setattr(
+            sl.cos, "truncation_interval",
+            lambda cf, config: held.setdefault(cf.t, interval_at(cf, config)),
+        )
+        state.residuals(*theta)
+        fd = np.empty_like(jac)
+        for j in range(8):
+            h = 1e-6 * max(abs(x[j]), 1.0)
+            up, down = x.copy(), x.copy()
+            up[j] += h
+            down[j] -= h
+            fd[:, j] = (
+                state.residuals(sl.RegimeParams(*up[:4]), sl.RegimeParams(*up[4:]))
+                - state.residuals(sl.RegimeParams(*down[:4]), sl.RegimeParams(*down[4:]))
+            ) / (2.0 * h)
+        n_cos = len(state.cos_rows)
+        for rows in (slice(0, n_cos), slice(n_cos, None)):
+            gap = np.abs(jac[rows] - fd[rows]).max(axis=0) / np.abs(fd[rows]).max(axis=0)
+            if family is GAMMA and rows.start == n_cos:
+                # the alpha columns of the Monte Carlo rows are forward
+                # differences of the Gamma inverse CDF with step 1e-6 alpha
+                assert gap[[2, 6]].max() < 1e-5
+                gap = gap[[0, 1, 3, 4, 5, 7]]
+            assert gap.max() < 1e-7
+
+    @pytest.mark.parametrize("family", [IG, GAMMA])
+    def test_no_new_transform_at_the_evaluated_point(self, family, monkeypatch):
+        state, theta = self._state(family)
+        state.residuals(*theta)
+        calls = []
+        transform = sl.mc.increment_from_draws
+
+        def counting(*args):
+            calls.append(1)
+            return transform(*args)
+
+        monkeypatch.setattr(sl.mc, "increment_from_draws", counting)
+        state.jacobian(*theta)
+        # only the Gamma alpha probe transforms the draws again, once per round
+        rounds = sum(len(s._rounds) for s in state.samplers.values())
+        assert len(calls) == (rounds if family is GAMMA else 0)
+
+    def test_calls_and_puts_share_cosine_sensitivities(self):
+        model = _model(_context(), _true_params(_context()))
+        contracts = [sl.ContractSpec(19.0, 0.75, kind) for kind in (CALL, PUT)]
+        jac = sl.cos.price_table_jacobian(model, contracts)
+        np.testing.assert_array_equal(jac[0], jac[1])
+
+
+def test_gamma_round_trip():
+    """The CLI's default family: a 2x3 Gamma grid with one OTM call, so the
+    Monte Carlo rows carry the forward-difference alpha column."""
+    ctx = _context(GAMMA)
+    params = _true_params(ctx)
+    model = _model(ctx, params)
+    rows = []
+    for t, moneyness in ((0.5, (0.9, 1.0, 1.03)), (1.0, (0.9, 1.0, 1.1))):
+        for m in moneyness:
+            price = sl.price_table(model, [sl.ContractSpec(ctx.s0 * m, t, CALL)])[0]
+            rows.append(sl.QuoteRow(t, ctx.s0 * m, CALL, price))
+    quotes = sl.QuoteTable(tuple(rows))
+    config = sl.CalibConfig(mc_paths=2000)
+    assert sum(sl.calibration.is_otm(r, ctx.s0, config) for r in quotes) == 1
+    init = tuple(sl.RegimeParams(*(p.as_array() * 1.10)) for p in params)
+    result = sl.calibrate(quotes, ctx, init, config=config)
+    assert result.objective < 0.01 * np.mean([r.mid for r in quotes])
 
 
 def test_is_otm_rule():

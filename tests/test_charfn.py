@@ -2,9 +2,15 @@ import warnings
 
 import numpy as np
 import pytest
+from scipy.linalg import expm
 
 import switchlevy as sl
-from switchlevy.charfn import expm_row_sum, phi_matrix_batch
+from switchlevy.charfn import (
+    expm_row_sum,
+    expm_row_sum_grad,
+    phi_matrix_batch,
+    regime_char_exponent_grad,
+)
 
 from conftest import bs_reduced_model, expm2_oracle, rn_regime, single_regime_increments
 
@@ -233,6 +239,81 @@ class TestClosedFormRowSum:
         a[1, 0, 0] = np.nan
         with pytest.raises(ValueError, match="finite"):
             expm_row_sum(a)
+
+
+def _block_row_sum_grad(a: np.ndarray) -> np.ndarray:
+    """d(e_1^T exp(A) 1)/d(a11, a22) of one 2x2 matrix from the Frechet
+    derivative exp([[A, E], [0, A]])[:2, 2:] with E = e_11 and e_22 (Van
+    Loan 1978), through scipy's general expm."""
+    out = []
+    for e in (np.diag([1.0, 0.0]), np.diag([0.0, 1.0])):
+        big = np.zeros((4, 4), dtype=complex)
+        big[:2, :2] = big[2:, 2:] = a
+        big[:2, 2:] = e
+        out.append(expm(big)[0, 2:].sum())
+    return np.array(out)
+
+
+class TestRowSumGrad:
+    """expm_row_sum_grad against the block-exponential Frechet derivative."""
+
+    @staticmethod
+    def _check(a: np.ndarray) -> None:
+        f, d11, d22 = expm_row_sum_grad(a)
+        np.testing.assert_array_equal(f, expm_row_sum(a))
+        ref = np.array([_block_row_sum_grad(ak) for ak in a])
+        np.testing.assert_allclose(np.stack([d11, d22], axis=1), ref, rtol=1e-10, atol=0)
+
+    @pytest.mark.parametrize("family", [GAMMA, IG])
+    def test_random_models(self, family):
+        rng = np.random.default_rng(47)
+        u = np.linspace(-30.0, 30.0, 61)
+        for _ in range(8):
+            prms = tuple(
+                sl.RegimeParams(rng.uniform(-0.3, 0.3), rng.uniform(0.1, 0.6),
+                                rng.uniform(0.5, 5), rng.uniform(0.5, 5))
+                for _ in range(2)
+            )
+            model = sl.SwitchingModel(prms, rng.uniform(0.1, 5), rng.uniform(0.1, 5), family, 20.0, 0.04)
+            self._check(rng.uniform(0.05, 2.0) * phi_matrix_batch(model, u))
+
+    def test_defective(self):
+        m = -0.3 + 0.2j
+        a = np.array([[[m + 1j, 2.0], [0.5, m - 1j]]])
+        assert (a[0, 0, 0] - a[0, 1, 1]) ** 2 / 4 + a[0, 0, 1] * a[0, 1, 0] == 0
+        self._check(a)
+
+    @pytest.mark.parametrize("h", [1e-8, 1e-8j, (1 + 1j) * 0.7e-8])
+    def test_near_defective(self, h):
+        m = -0.8 + 3.0j
+        self._check(np.array([[[m + h, 1.5], [0.0, m - h]], [[m + h, 1.5], [h * h, m - h]]]))
+
+    def test_unreachable_second_regime(self):
+        # a12 = 0: the chain never leaves regime 1, so f = e^{a11}
+        a = np.array([[[-0.4 + 2.0j, 0.0], [1.3, -2.0 - 1.0j]]])
+        f, d11, d22 = expm_row_sum_grad(a)
+        np.testing.assert_allclose(d11, f, rtol=1e-15)
+        assert d22[0] == 0.0
+
+
+class TestCharExponentGrad:
+    @pytest.mark.parametrize("family", [GAMMA, IG, IDENTITY])
+    def test_against_central_differences(self, family):
+        prm = sl.RegimeParams(-0.15, 0.4, 2.5, 1.7)
+        u = np.linspace(-25.0, 25.0, 51)
+        grad = regime_char_exponent_grad(prm, family, u)
+        assert grad.shape == (4, u.size)
+        x = prm.as_array()
+        for j in range(4):
+            h = 1e-6 * x[j]
+            up, down = x.copy(), x.copy()
+            up[j] += h
+            down[j] -= h
+            fd = (
+                sl.regime_char_exponent(sl.RegimeParams(*up), family, u)
+                - sl.regime_char_exponent(sl.RegimeParams(*down), family, u)
+            ) / (2.0 * h)
+            np.testing.assert_allclose(grad[j], fd, rtol=1e-7, atol=1e-7)
 
 
 class TestRiskNeutralDrift:

@@ -83,6 +83,49 @@ class TestPriceCommand:
         assert "line 2" in capsys.readouterr().err
 
 
+@pytest.fixture
+def unpriceable_model_file(tmp_path):
+    """A Gamma model whose short-dated deep OTM put sums are negative
+    beyond truncation noise at 64 terms, so the cosine pricer raises."""
+    prm = sl.RegimeParams(-0.5, 0.8, 0.3, 0.3)
+    model = sl.SwitchingModel((prm, prm), 2.5, 1.0, sl.Family.GAMMA, 20.0, 0.04)
+    f = tmp_path / "gamma.json"
+    save_model(model, f)
+    return f
+
+
+class TestFailuresLeaveNoOutput:
+    def test_price_pricing_error_exits_2(self, tmp_path, unpriceable_model_file, capsys):
+        grid = tmp_path / "grid.csv"
+        grid.write_text("maturity,strike,kind\n0.02,2,put\n0.02,5,put\n")
+        out = tmp_path / "o.csv"
+        code = main(["price", "--model", str(unpriceable_model_file), "--grid", str(grid),
+                     "--out", str(out), "--n-terms", "64"])
+        assert code == 2
+        assert "beyond truncation noise" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_payoff_surface_pricing_error_exits_2(self, tmp_path, unpriceable_model_file, capsys):
+        out = tmp_path / "s.csv"
+        code = main(["payoff-surface", "--model", str(unpriceable_model_file), "--out", str(out),
+                     "--tmin", "0.02", "--tmax", "0.02", "--nt", "1", "--kmin", "2", "--kmax", "5",
+                     "--nk", "2", "--kind", "put", "--n-terms", "64"])
+        assert code == 2
+        assert "beyond truncation noise" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_price_mc_bad_path_count_exits_2(self, tmp_path, model_file, capsys):
+        mf, _ = model_file
+        grid = tmp_path / "grid.csv"
+        grid.write_text("maturity,strike,kind\n0.5,20,call\n")
+        out = tmp_path / "o.csv"
+        code = main(["price", "--model", str(mf), "--grid", str(grid), "--out", str(out),
+                     "--method", "mc", "--paths", "50"])
+        assert code == 2
+        assert "n_paths" in capsys.readouterr().err
+        assert not out.exists()
+
+
 class TestSimulateCommand:
     def test_deterministic_and_well_formed(self, tmp_path, model_file):
         mf, _ = model_file

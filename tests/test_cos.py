@@ -29,8 +29,8 @@ class TestTruncationInterval:
         model = sl.SwitchingModel((prm, prm), 0.0, 0.0, sl.Family.IDENTITY, 1.0, 0.0)
         cf = sl.CharFn(model, 1.0)  # y0 = log(s0/K) = 0 at K = s0 = 1
         a, b = sl.truncation_interval(cf, sl.CosConfig())
-        # c4 carries an ~1e-9 noise floor from the CF evaluations, which
-        # the sqrt in the width rule amplifies to ~3e-4
+        # the cumulants are exact (c4 ~ 1e-17 here), so the width rule
+        # gives +/-10 to ~1e-8, far inside the tolerance
         assert a == pytest.approx(-10.0, abs=5e-3)
         assert b == pytest.approx(10.0, abs=5e-3)
 
@@ -274,9 +274,10 @@ class TestGuards:
 
     @staticmethod
     def _lower_cf_at_zero(monkeypatch, shift):
-        """Lower phi(0) by shift in the pricer's CF sweep (the cumulant
-        differences never evaluate u = 0), so each contract's put sum drops
-        by shift/2 times its discounted zeroth payoff coefficient."""
+        """Lower phi(0) by shift in the pricer's CF sweep (the exact
+        cumulants do not evaluate the CF, so the interval is unchanged), so
+        each contract's put sum drops by shift/2 times its discounted
+        zeroth payoff coefficient."""
         cf_at = sl.cos.switching_cf
         monkeypatch.setattr(
             sl.cos, "switching_cf", lambda cf, u: cf_at(cf, u) - shift * (np.asarray(u) == 0)
