@@ -421,7 +421,7 @@ def mle_fit(
         raise EstimationError("n_sim must be >= 10000")
     if init is None:
         init = _default_init(z, dt, bounds)
-    # lambda12 = 0: no sojourn is drawn, one round of increments over dt
+    # lambda12 = 0: no sojourn is drawn, one leg of increments over dt
     sim = FrozenTerminalSampler(family, 0.0, 0.0, dt, n_sim, seed)
 
     def kde_loglik(x: np.ndarray) -> tuple[float, bool]:

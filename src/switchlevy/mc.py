@@ -28,7 +28,7 @@ from .subordinators import SubordinatorSpec, increment_from_draws, sample_increm
 
 Z95 = 1.959964  # two-sided 95% normal quantile
 _BLOCK = 1 << 16
-# subordinator increments kept per frozen round: a base point and its alpha
+# subordinator increments kept per frozen leg: a base point and its alpha
 # and beta probes, so the base is still kept when the optimizer returns to it
 _KEPT_INCREMENTS = 3
 
@@ -184,23 +184,25 @@ def price_european_mc(
 class FrozenTerminalSampler:
     """Terminal sampler with frozen randomness for common-random-numbers.
 
-    The regime trajectory depends only on the (fixed) intensities, so
-    sojourns and all driving draws are frozen at construction; evaluate()
-    maps regime parameters to terminal log returns through smooth
-    inverse-CDF transforms of those draws, and weighted_gradient() gives
-    their pathwise derivatives. Used by the option-quote calibration,
-    whose Jacobian is pathwise, and by the simulated likelihood, which is
-    differenced numerically and where lambda12 = 0 leaves a single round
-    of single-regime increments over the horizon.
+    Given the time tau a path spends in regime 1, Z_T has the law of
+    Y1(tau) + Y2(T - tau), Y1 and Y2 independent, as Gamma and IG clocks
+    and the Brownian part compose exactly. The sojourns depend only on the
+    fixed intensities and are drawn at construction just to sum tau per
+    path; the driving draws are frozen for one leg per regime, over tau
+    and over T - tau. A zero-length leg (T - tau on a path that never
+    leaves regime 1) is skipped, since the IG transform is 0/0 there.
+    evaluate() maps regime parameters to terminal log returns through
+    smooth inverse-CDF transforms of the draws, at most one per leg, and
+    weighted_gradient() gives their pathwise derivatives. The calibration
+    uses both; the simulated likelihood differences evaluate() with
+    lambda12 = 0, which leaves one leg of single-regime increments.
 
-    Each round of sojourns keeps its last few subordinator increments
-    (least recently used out), so the Jacobian at the point just
-    evaluated, and a finite-difference probe in mu or sigma, or in beta
-    for Gamma, reuse the increment of that point instead of transforming
-    the draws again. The transform of a Gamma round depends on alpha
-    alone: its increment is kept for beta = 1 and divided by beta, which
-    is the division the transform makes. A reused evaluation is
-    bit-for-bit the one a fresh sampler gives.
+    Each leg keeps its last few subordinator increments (least recently
+    used out), so the Jacobian at the point just evaluated and probes in
+    mu or sigma, or in beta for Gamma, reuse that point's increment. A
+    Gamma leg's transform depends on alpha alone: its increment is kept
+    for beta = 1 and divided by beta, as the transform does. A reused
+    evaluation is bit-for-bit the one a fresh sampler gives.
     """
 
     def __init__(
@@ -212,29 +214,25 @@ class FrozenTerminalSampler:
         n_paths: int,
         seed: int,
     ):
+        if not horizon > 0 or n_paths < 1:
+            raise ValueError("need horizon > 0 and n_paths >= 1")
         self.family = family
         self.n_paths = n_paths
         rng = np.random.default_rng(seed)
-        self._rounds: list[tuple] = []
-        elapsed = np.zeros(n_paths)
-        alive = np.arange(n_paths)
-        k = 0
-        while alive.size:
-            state = 1 if k % 2 == 0 else 2
-            rate = lambda12 if state == 1 else lambda21
-            soj = _draw_sojourns(rate, alive.size, rng)
-            remaining = horizon - elapsed[alive]
-            dur = np.maximum(np.minimum(soj, remaining), 1e-300)
-            draws = (
-                rng.random(alive.size),
-                rng.standard_normal(alive.size),
-                rng.random(alive.size),
-                rng.standard_normal(alive.size),
-            )
-            self._rounds.append((alive, dur, state, draws, OrderedDict()))
-            elapsed[alive] += dur
-            alive = alive[soj < remaining]
-            k += 1
+        tau, left = np.zeros(n_paths), np.full(n_paths, float(horizon))  # time in regime 1, to go
+        alive, k = np.arange(n_paths), 0
+        while alive.size:  # sojourns alternate regime 1, 2, 1, ...
+            dur = np.minimum(_draw_sojourns((lambda12, lambda21)[k % 2], alive.size, rng), left[alive])
+            if k % 2 == 0:
+                tau[alive] += dur
+            left[alive] -= dur
+            alive, k = alive[left[alive] > 0], k + 1
+        self._rounds: list[tuple] = []  # the legs
+        for state, span in ((1, tau), (2, horizon - tau)):
+            idx = np.flatnonzero(span > 0)
+            if idx.size:
+                draws = tuple(f(idx.size) for f in (rng.random, rng.standard_normal) * 2)  # u, nu, z, N
+                self._rounds.append((idx, span[idx], state, draws, OrderedDict()))
 
     def evaluate(self, theta1: RegimeParams, theta2: RegimeParams) -> np.ndarray:
         z = np.zeros(self.n_paths)
@@ -255,16 +253,18 @@ class FrozenTerminalSampler:
         n_paths), theta = (mu, sigma, alpha, beta) of regime 1 then regime
         2; shape (R, 8).
 
-        Pathwise derivatives through the frozen draws, round by round: a
-        round adds mu L + sigma sqrt(L) N, so dZ/dmu = L, dZ/dsigma =
-        sqrt(L) N and dZ/d{alpha, beta} = (mu + sigma N / (2 sqrt(L)))
-        dL/d{alpha, beta}. The IG transform is differentiated in closed
-        form (`_ig_increment_grad`); a Gamma increment is gammaincinv(alpha
-        T, u) / beta, so dL/dbeta = -L/beta, and its alpha derivative, which
-        scipy does not provide, is a forward difference of the round's
-        contribution with step fd_rel_step * alpha. The increments come
-        from the kept ones, so right after `evaluate` at the same point only
-        that Gamma alpha probe transforms the draws again.
+        Pathwise derivatives through the frozen draws, leg by leg: a leg
+        adds mu L + sigma sqrt(L) N, L the clock increment over tau or
+        T - tau, so dZ/dmu = L, dZ/dsigma = sqrt(L) N and dZ/d{alpha, beta}
+        = (mu + sigma N / (2 sqrt(L))) dL/d{alpha, beta}. The IG transform
+        is differentiated in closed form (`_ig_increment_grad`); a Gamma
+        increment is gammaincinv(alpha T, u) / beta, so dL/dbeta = -L/beta,
+        and its alpha derivative, which scipy does not provide, is a forward
+        difference of the leg's contribution with step fd_rel_step * alpha.
+        The increments come from the kept ones, so right after `evaluate`
+        at the same point only that Gamma alpha probe transforms the draws
+        again. Zero-length legs are never built: L = 0 there, and the
+        slope's 1 / sqrt(L) would be infinite.
         """
         jac = np.zeros((8, weights.shape[0]))
         for idx, dur, state, (u, nu, zz, nrm), kept in self._rounds:

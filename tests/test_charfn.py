@@ -316,6 +316,39 @@ class TestCharExponentGrad:
             np.testing.assert_allclose(grad[j], fd, rtol=1e-7, atol=1e-7)
 
 
+class TestClockScale:
+    """Rescaling a regime's clock by c and its mu, sigma to match leaves the
+    law of Y unchanged: Gamma (mu/c, sigma/sqrt(c), alpha, beta/c), IG
+    (mu/c, sigma/sqrt(c), alpha sqrt(c), beta/sqrt(c)). So alpha and beta
+    are identified only up to this scale, by prices and by history alike."""
+
+    @staticmethod
+    def _scaled(prm, family, c):
+        root = np.sqrt(c)
+        if family is GAMMA:
+            return sl.RegimeParams(prm.mu / c, prm.sigma / root, prm.alpha, prm.beta / c)
+        return sl.RegimeParams(prm.mu / c, prm.sigma / root, prm.alpha * root, prm.beta / root)
+
+    @pytest.mark.parametrize("family", [GAMMA, IG])
+    @pytest.mark.parametrize("c", [0.37, 2.5])
+    def test_exponent_and_prices_unchanged(self, family, c):
+        prms = (sl.RegimeParams(0.05, 0.3, 1.5, 2.0), sl.RegimeParams(-0.1, 0.5, 4.0, 3.0))
+        scaled = tuple(self._scaled(p, family, c) for p in prms)
+        u = np.linspace(-40.0, 40.0, 161)
+        for p, q in zip(prms, scaled):
+            np.testing.assert_allclose(
+                sl.regime_char_exponent(q, family, u), sl.regime_char_exponent(p, family, u), rtol=1e-12
+            )
+        contracts = [
+            sl.ContractSpec(k, t, kind) for t in (0.5, 1.0) for k in (16.0, 20.0, 24.0) for kind in sl.OptionKind
+        ]
+        prices = [
+            sl.price_table(sl.SwitchingModel(ps, 2.5, 1.0, family, 20.0, 0.04), contracts)
+            for ps in (prms, scaled)
+        ]
+        np.testing.assert_allclose(prices[1], prices[0], rtol=1e-12)
+
+
 class TestRiskNeutralDrift:
     def test_identity_closed_form(self):
         prm = sl.RegimeParams(0.0, 0.5, 1.0, 1.0)

@@ -227,6 +227,64 @@ class TestFrozenTerminalSampler:
             sampler.evaluate(prm, prm)
         assert len(calls) == transforms
 
+    @pytest.mark.parametrize("family", [sl.Family.GAMMA, sl.Family.INVERSE_GAUSSIAN])
+    @pytest.mark.parametrize("horizon, n_paths", [(0.0, 100), (-1.0, 100), (1.0, 0)])
+    def test_rejects_empty_horizon_or_no_paths(self, family, horizon, n_paths):
+        with pytest.raises(ValueError):
+            sl.FrozenTerminalSampler(family, 2.0, 1.0, horizon, n_paths, seed=21)
+
+    @pytest.mark.parametrize("family", [sl.Family.GAMMA, sl.Family.INVERSE_GAUSSIAN])
+    def test_one_transform_per_leg_whatever_the_intensities(self, monkeypatch, family):
+        """At intensities (20, 10) a path makes ~20 sojourns, but the
+        sampler keeps two legs and transforms each once per evaluation."""
+        calls = []
+        transform = sl.mc.increment_from_draws
+
+        def counting(*args):
+            calls.append(1)
+            return transform(*args)
+
+        monkeypatch.setattr(sl.mc, "increment_from_draws", counting)
+        sampler = sl.FrozenTerminalSampler(family, 20.0, 10.0, 1.0, 5_000, seed=22)
+        sampler.evaluate(sl.RegimeParams(0.1, 0.4, 1.5, 2.0), sl.RegimeParams(-0.1, 0.6, 1.0, 1.2))
+        assert len(sampler._rounds) == 2
+        assert len(calls) <= 2
+
+    def test_leg_two_holds_exactly_the_switching_paths(self):
+        """At lambda12 = 0.5 most paths never leave regime 1: leg 1 covers
+        every path over tau, leg 2 only the paths with T - tau > 0."""
+        horizon, n = 1.0, 5_000
+        sampler = sl.FrozenTerminalSampler(sl.Family.INVERSE_GAUSSIAN, 0.5, 1.0, horizon, n, seed=23)
+        (idx1, tau, state1, *_), (idx2, dur2, state2, *_) = sampler._rounds
+        assert (state1, state2) == (1, 2)
+        np.testing.assert_array_equal(idx1, np.arange(n))
+        switched = np.flatnonzero(horizon - tau > 0)
+        np.testing.assert_array_equal(idx2, switched)
+        np.testing.assert_array_equal(dur2, (horizon - tau)[switched])
+        assert 0 < switched.size < n / 2
+        p1, p2 = sl.RegimeParams(0.1, 0.4, 1.5, 2.0), sl.RegimeParams(-0.1, 0.6, 1.0, 1.2)
+        assert np.all(np.isfinite(sampler.evaluate(p1, p2)))
+        weights = np.random.default_rng(24).standard_normal((2, n))
+        assert np.all(np.isfinite(sampler.weighted_gradient(p1, p2, weights, 1e-6)))
+
+    @pytest.mark.parametrize("family", [sl.Family.GAMMA, sl.Family.INVERSE_GAUSSIAN])
+    @pytest.mark.parametrize("lambda12, lambda21", [(2.5, 1.0), (20.0, 10.0)])
+    def test_law_matches_exact_values(self, family, lambda12, lambda21):
+        """E[exp(Z_T)], the mean and the variance of the occupation-time
+        draws against the switching CF at -i and the exact cumulants,
+        within 4 standard errors."""
+        prms = tuple(rn_regime(s, a, b, family, 0.04) for s, a, b in ((0.3, 2.0, 1.5), (0.5, 4.0, 2.5)))
+        model = sl.SwitchingModel(prms, lambda12, lambda21, family, 20.0, 0.04)
+        horizon, n = 1.0, 40_000
+        z = sl.FrozenTerminalSampler(family, lambda12, lambda21, horizon, n, seed=25).evaluate(*prms)
+        cf = sl.CharFn(model, horizon, y0=0.0)
+        c1, c2, _ = sl.cos.log_return_cumulants(cf)
+        growth = np.exp(z)
+        assert abs(growth.mean() - sl.switching_cf(cf, -1j).real) < 4 * growth.std(ddof=1) / math.sqrt(n)
+        assert abs(z.mean() - c1) < 4 * z.std(ddof=1) / math.sqrt(n)
+        var = z.var(ddof=1)
+        assert abs(var - c2) < 4 * math.sqrt((np.mean((z - z.mean()) ** 4) - var**2) / n)
+
 
 def test_price_path_validation():
     with pytest.raises(ValueError):
