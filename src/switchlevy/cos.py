@@ -115,7 +115,8 @@ def truncation_interval(cf: CharFn, config: CosConfig) -> tuple[float, float]:
 
 
 def put_coefficients(strike, a, b, n_terms: int) -> np.ndarray:
-    """Cosine payoff coefficients V_k of the put on [a, b].
+    """Cosine payoff coefficients V_k of the put on [a, b]: the tested
+    reference for `_payoff_sums`, which prices without forming them.
 
     V_k = 2K/(b-a) * int_a^0 (1 - e^y) cos(k pi (y-a)/(b-a)) dy, in closed
     form through the elementary exponential-cosine and cosine integrals.
@@ -197,26 +198,96 @@ def _by_maturity(contracts: Sequence[ContractSpec]) -> dict[float, list[int]]:
     return by_t
 
 
+def _split_powers(theta, n_terms: int) -> tuple[np.ndarray, np.ndarray]:
+    """The powers e^{ik theta}, k < n_terms, as two short factor tables.
+
+    With R = ceil(sqrt(n_terms)) and k = R m + r (0 <= r < R),
+    e^{ik theta} = e^{iRm theta} e^{ir theta}, so an angle costs about
+    2 sqrt(n_terms) complex exponentials instead of n_terms. For theta of
+    shape S the factors have shapes S + (M,) and S + (R,), M = ceil(n_terms/R).
+    """
+    r_len = math.isqrt(n_terms - 1) + 1
+    theta = np.asarray(theta, dtype=float)[..., None]
+    high = np.exp(1j * r_len * np.arange(-(-n_terms // r_len)) * theta)
+    return high, np.exp(1j * np.arange(r_len) * theta)
+
+
+def _powers(theta, n_terms: int) -> np.ndarray:
+    """e^{ik theta} for k < n_terms, shape S + (n_terms,), as products of
+    the `_split_powers` factors."""
+    high, low = _split_powers(theta, n_terms)
+    return (high[..., :, None] * low[..., None, :]).reshape(*high.shape[:-1], -1)[..., :n_terms]
+
+
+def _payoff_sums(terms: np.ndarray, strikes: np.ndarray, a, b, width: float) -> np.ndarray:
+    """Sum_k terms_k V_k of every strike, with V = put_coefficients(strikes,
+    a, b, n) and b - a = width, without forming V.
+
+    With omega_k = k pi / width, d = min(0, b), span s = d - a and
+    z_k = e^{i omega_k s}, the closed form of `put_coefficients` gives
+    width/(2K) Sum_k terms_k V_k =
+        terms_0 s + Im Sum_k z_k terms_k / (omega_k (1 + omega_k^2))
+        - (e^d - 1) Im Sum_k z_k terms_k omega_k / (1 + omega_k^2)
+        - e^d Re Sum_k z_k terms_k / (1 + omega_k^2) + e^a Sum_k terms_k / (1 + omega_k^2),
+    three real weight rows per term row. The sine weight 1/omega - e^d
+    omega/(1 + omega^2) of the closed form is split as above so that its two
+    O(1/omega) parts do not cancel when b > 0 (d = 0). The z_k come from
+    `_split_powers` at theta = pi s / width, so the sums take one
+    (K, R) @ (R, 3 J M) product and 2 sqrt(n) exponentials per angle.
+
+    Either each strike has its own interval (a, b of shape (K,)) and all
+    share the term rows, shape (J, n), or all share the interval and each
+    strike has its own term rows, shape (K, J, n). Both flatten to a set of
+    angles times a set of weight rows, (K, 3J) or (1, 3KJ), read back as
+    (K, 3, J). Returns shape (K, J).
+    """
+    n = terms.shape[-1]
+    d = np.minimum(0.0, b)
+    span = np.maximum(d - a, 0.0)
+    high, low = _split_powers(np.reshape(np.pi * span / width, -1), n)
+    m_len, r_len = high.shape[-1], low.shape[-1]
+    om = np.arange(n) * (np.pi / width)
+    lorentz = 1.0 / (1.0 + om * om)
+    scales = np.stack([np.divide(lorentz, om, out=np.zeros(n), where=om > 0.0), om * lorentz, lorentz])
+    weights = np.zeros(terms.shape[:-2] + (3,) + terms.shape[-2:-1] + (m_len * r_len,))
+    np.multiply(terms[..., None, :, :], scales[:, None, :], out=weights[..., :n])
+    table = weights.reshape(-1, m_len, r_len).transpose(2, 0, 1).reshape(r_len, -1)
+    inner = (low @ table).reshape(len(low), -1, m_len)
+    sums = (inner @ high[:, :, None]).reshape(len(strikes), 3, -1)
+    d, span, a = (np.reshape(x, (-1, 1)) for x in (d, span, a))
+    total = (
+        terms[..., 0] * span
+        + sums[:, 0].imag
+        - np.expm1(d) * sums[:, 1].imag
+        - np.exp(d) * sums[:, 2].real
+        + np.exp(a) * (terms @ lorentz)
+    )
+    return np.where(span > 0.0, (2.0 * strikes[:, None] / width) * total, 0.0)
+
+
 def _maturity_setup(model: SwitchingModel, maturity: float, strikes: np.ndarray, config: CosConfig):
     """The pieces of one maturity's cosine sums shared by `price_table` and
     `price_table_jacobian`: the y0 = 0 CF, the u grid, the phase factor
-    exp(i u phase) and the (K, n_terms) payoff coefficients.
+    exp(i u phase), and the put interval (a, b, width) for `_payoff_sums`.
 
     The strike enters only through the log-moneyness x0 = log(s0/K). With
     the automatic interval, [a, b] is the cumulant interval of the y0 = 0
-    CF shifted by x0, so the phase u (x0 - a) is shared by every strike and
-    the factor has shape (n_terms,); with a user interval each strike gets
-    its own phase row, shape (K, n_terms).
+    CF shifted by x0: a and b have shape (K,), and the phase u (x0 - a) is
+    shared by every strike, so the factor has shape (n_terms,). With a user
+    interval every strike shares [a, b] and gets its own phase row, shape
+    (K, n_terms), from `_powers`. Either way all strikes share the width,
+    and with it the u grid.
     """
     x0 = np.log(model.s0 / strikes)
     base = CharFn(model, maturity, y0=0.0)
     a0, b0 = truncation_interval(base, config)
-    u = np.arange(config.n_terms) * np.pi / (b0 - a0)
+    width = b0 - a0
+    u = np.arange(config.n_terms) * np.pi / width
     if config.interval is None:
         a, b, phase = x0 + a0, x0 + b0, -a0
     else:
-        a, b, phase = a0, b0, (x0 - a0)[:, None]
-    return base, u, np.exp(1j * u * phase), put_coefficients(strikes, a, b, config.n_terms)
+        a, b, phase = a0, b0, x0 - a0
+    return base, u, _powers(np.pi * phase / width, config.n_terms), (a, b, width)
 
 
 def price_table(
@@ -228,18 +299,17 @@ def price_table(
 
     The CF is evaluated once per maturity at y0 = 0 (see `_maturity_setup`
     for how strikes and the interval enter). All strikes of a maturity are
-    summed at once as a (K, n_terms) matrix of payoff coefficients against
-    the terms.
+    summed at once by `_payoff_sums`, which folds the closed-form payoff
+    coefficients into the terms without forming a (K, n_terms) matrix.
     """
     prices = np.empty(len(contracts))
     for maturity, idx in _by_maturity(contracts).items():
         strikes = np.array([contracts[i].strike for i in idx])
-        base, u, rotation, coeffs = _maturity_setup(model, maturity, strikes, config)
+        base, u, rotation, interval = _maturity_setup(model, maturity, strikes, config)
         terms = np.real(switching_cf(base, u) * rotation)
         terms[..., 0] *= 0.5
         disc = math.exp(-model.r * maturity)
-        # one dot product per contract, for shared (n,) and per-strike (K, n) terms alike
-        raw = disc * (coeffs[:, None, :] @ terms[..., None])[:, 0, 0]
+        raw = disc * _payoff_sums(terms[..., None, :], strikes, *interval)[:, 0]
         puts = _guard_put_sums(raw, strikes)
         is_call = np.array([contracts[i].kind is OptionKind.CALL for i in idx])
         prices[idx] = np.where(is_call, puts + model.s0 - strikes * disc, puts)
@@ -256,16 +326,16 @@ def price_table_jacobian(
 
     A parameter of regime j enters Phi(u) only through its diagonal entry
     Psi_j, so d phi/d theta = t (df/da_jj) dPsi_j/dtheta with f the row sum
-    of exp(t Phi(u)); the eight derivative rows are summed against the same
-    payoff coefficients and phase as the prices, with the truncation
-    interval held at its value at the model. Calls and puts share their
-    sensitivities (put-call parity).
+    of exp(t Phi(u)); the eight derivative rows go through the same phase
+    and `_payoff_sums` as the prices, with the truncation interval held at
+    its value at the model. Calls and puts share their sensitivities
+    (put-call parity).
     """
     jac = np.empty((len(contracts), 8))
     family = model.family
     for maturity, idx in _by_maturity(contracts).items():
         strikes = np.array([contracts[i].strike for i in idx])
-        _, u, rotation, coeffs = _maturity_setup(model, maturity, strikes, config)
+        _, u, rotation, interval = _maturity_setup(model, maturity, strikes, config)
         _, df_da11, df_da22 = expm_row_sum_grad(maturity * phi_matrix_batch(model, u))
         dphi = maturity * np.concatenate([
             df_da11 * regime_char_exponent_grad(model.regimes[0], family, u),
@@ -273,7 +343,7 @@ def price_table_jacobian(
         ])
         terms = np.real(dphi * rotation[..., None, :])  # (8, n) or (K, 8, n)
         terms[..., 0] *= 0.5
-        jac[idx] = math.exp(-model.r * maturity) * (terms @ coeffs[:, :, None])[..., 0]
+        jac[idx] = math.exp(-model.r * maturity) * _payoff_sums(terms, strikes, *interval)
     return jac
 
 

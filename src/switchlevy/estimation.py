@@ -415,6 +415,8 @@ def mle_fit(
     likelihood of the data is evaluated with the density floored at 1e-300.
     Only the start point must have an unfloored density: a trial point of
     the search whose densities are all floored scores the floored value.
+    The fit is the point with the lowest -ll the search evaluated, start
+    and finite-difference probes included, not L-BFGS-B's last iterate.
     """
     z = np.asarray(returns, dtype=float)
     if n_sim < 10_000:
@@ -432,15 +434,21 @@ def mle_fit(
     ll0, floored = kde_loglik(x0)
     if floored:
         raise EstimationError(_FLOORED)
+    best = [-ll0, x0]  # the lowest -ll evaluated so far, and its point
+
+    def objective(x: np.ndarray) -> float:
+        value = -kde_loglik(x)[0]
+        if value < best[0]:
+            best[:] = value, x.copy()
+        return value
+
     # finite-difference steps well above the residual kernel-binning noise
     eps = 1e-4 * np.maximum(np.abs(x0), 0.05)
     res = minimize(
-        lambda x: -kde_loglik(x)[0],
+        objective,
         x0,
         method="L-BFGS-B",
         bounds=list(zip(bounds.lower(), bounds.upper())),
         options={"eps": eps, "maxiter": 300},
     )
-    if res.fun > -ll0:
-        raise EstimationError(f"likelihood optimizer failed to improve: {res.message}")
-    return FitResult(RegimeParams.from_array(res.x), float(res.fun), bool(res.success), str(res.message))
+    return FitResult(RegimeParams.from_array(best[1]), float(best[0]), bool(res.success), str(res.message))

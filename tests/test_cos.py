@@ -7,7 +7,7 @@ from scipy.integrate import quad
 
 import switchlevy as sl
 from switchlevy.charfn import increment_cumulants
-from switchlevy.cos import _guard_put_sums, log_return_cumulants
+from switchlevy.cos import _guard_put_sums, _payoff_sums, _powers, log_return_cumulants
 
 from conftest import bs_reduced_model, rn_regime
 
@@ -127,6 +127,78 @@ class TestPutCoefficients:
     def test_degenerate_interval(self):
         with pytest.raises(ValueError):
             sl.put_coefficients(1.0, 2.0, 2.0, 16)
+
+
+class TestPayoffSums:
+    """`_payoff_sums` against the reference product of the term rows with
+    the `put_coefficients` matrix."""
+
+    @pytest.mark.parametrize("n_terms", [16, 17, 100, 512, 1000])
+    @pytest.mark.parametrize("n_strikes", [1, 7, 200])
+    @pytest.mark.parametrize("n_rows", [1, 8])
+    @pytest.mark.parametrize("shared_interval", [False, True])
+    def test_matches_coefficient_matrix(self, n_terms, n_strikes, n_rows, shared_interval):
+        rng = np.random.default_rng([n_terms, n_strikes, n_rows, shared_interval])
+        width = rng.uniform(0.5, 12.0)
+        strikes = 20.0 * np.exp(rng.uniform(-1.0, 1.0, n_strikes))
+        # a = offset * width places the interval across zero, left of zero
+        # (b < 0) or right of it (put span 0)
+        for offset in (-0.5, -1.25, 0.25):
+            if shared_interval:  # a user interval: every strike its own rows
+                a = width * (offset + rng.uniform(-0.2, 0.2))
+                terms = rng.standard_normal((n_strikes, n_rows, n_terms))
+                rows = terms
+            else:  # the automatic interval: every strike its own [a, b]
+                a = width * (offset + rng.uniform(-0.2, 0.2, n_strikes))
+                terms = rng.standard_normal((n_rows, n_terms))
+                rows = np.broadcast_to(terms, (n_strikes, n_rows, n_terms))
+            b = a + width
+            products = rows * sl.put_coefficients(strikes, a, b, n_terms)[:, None, :]
+            with warnings.catch_warnings(), np.errstate(all="raise"):
+                warnings.simplefilter("error")
+                sums = _payoff_sums(terms, strikes, a, b, width)
+            assert sums.shape == (n_strikes, n_rows)
+            assert np.all(np.abs(sums - products.sum(-1)) <= 1e-12 * np.abs(products).sum(-1))
+
+    @pytest.mark.parametrize("n_terms", [17, 512])
+    @pytest.mark.parametrize("shared_interval", [False, True])
+    def test_short_put_span(self, n_terms, shared_interval):
+        """For a put span s = -a of 1e-10 to 1e-1 of the width, V_k is
+        O(s^2) but the split sums are O(1) in the terms, so the error is
+        bounded by the terms, not by the products: 1e-14 K sum|terms| / width
+        (about 4e-16 is reached)."""
+        rng = np.random.default_rng([n_terms, shared_interval])
+        width, n_strikes = 3.0, 50
+        strikes = 20.0 * np.exp(rng.uniform(-1.0, 1.0, n_strikes))
+        spans = width * 10.0 ** rng.uniform(-10.0, -1.0, n_strikes)
+        if shared_interval:
+            a, terms = -spans[0], rng.standard_normal((n_strikes, 8, n_terms))
+            rows = terms
+        else:
+            a, terms = -spans, rng.standard_normal((8, n_terms))
+            rows = np.broadcast_to(terms, (n_strikes, 8, n_terms))
+        reference = (rows * sl.put_coefficients(strikes, a, a + width, n_terms)[:, None, :]).sum(-1)
+        sums = _payoff_sums(terms, strikes, a, a + width, width)
+        bound = 1e-14 * strikes[:, None] * np.abs(rows).sum(-1) / width
+        assert np.all(np.abs(sums - reference) <= bound)
+
+    @pytest.mark.parametrize("n_terms", [16, 17, 512])
+    def test_powers(self, n_terms):
+        theta = np.array([0.0, 0.3, -2.0, np.pi])
+        k = np.arange(n_terms)
+        np.testing.assert_allclose(_powers(theta, n_terms), np.exp(1j * theta[:, None] * k), rtol=0, atol=1e-12)
+        np.testing.assert_allclose(_powers(0.3, n_terms), np.exp(0.3j * k), rtol=0, atol=1e-12)
+
+    def test_pricing_does_not_form_coefficients(self, monkeypatch):
+        def fail(*args):
+            raise AssertionError("put_coefficients called")
+
+        monkeypatch.setattr(sl.cos, "put_coefficients", fail)
+        model = bs_reduced_model(0.04, 0.3)
+        contracts = [sl.ContractSpec(k, t, CALL) for k in (15.0, 20.0, 25.0) for t in (0.5, 1.0)]
+        for config in (sl.CosConfig(), sl.CosConfig(interval=(-3.0, 3.0))):
+            assert np.all(np.isfinite(sl.price_table(model, contracts, config)))
+            assert np.all(np.isfinite(sl.cos.price_table_jacobian(model, contracts, config)))
 
 
 class TestBlackScholesReduction:

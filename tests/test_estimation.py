@@ -338,6 +338,25 @@ class TestMleFit:
         ll_exact = -0.5 * z.size * (math.log(2 * math.pi * s2) + 1.0)
         assert abs(-fit.objective - ll_exact) < 0.01 * abs(ll_exact)
 
+    def test_returns_best_evaluated_point(self, monkeypatch):
+        """The fit is the lowest -ll the search evaluated, and it is the
+        simulated likelihood at the returned parameters."""
+        rng = np.random.default_rng(43)
+        z = 0.08 * DT + 0.35 * math.sqrt(DT) * rng.standard_normal(20_000)
+        kde_loglik = sl.estimation._kde_loglik
+        evaluated = []
+
+        def recording(sim, data):
+            ll, floored = kde_loglik(sim, data)
+            evaluated.append(-ll)
+            return ll, floored
+
+        monkeypatch.setattr(sl.estimation, "_kde_loglik", recording)
+        fit = sl.mle_fit(z, sl.Family.IDENTITY, init=sl.RegimeParams(0.0, 0.3, 1.0, 1.0), seed=11, dt=DT)
+        assert len(evaluated) > 1
+        assert fit.objective == min(evaluated)
+        assert fit.objective == -simulated_loglik(fit.params, z, sl.Family.IDENTITY, seed=11, dt=DT)
+
     def test_fit_recovers_cf(self):
         theta = sl.RegimeParams(0.1, 0.4, 1.5, 2.0)
         rng = np.random.default_rng(44)
