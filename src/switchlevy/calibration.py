@@ -15,7 +15,6 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.optimize import least_squares
 
 from .cos import ContractSpec, CosConfig, OptionKind, price_table, price_table_jacobian
 from .estimation import ParamBounds
@@ -243,6 +242,8 @@ def calibrate(
     bounds box inward by 1e-10 of max(1, |bound|); objective_history[0]
     then differs from the objective at init by about that much.
     """
+    from scipy.optimize import least_squares
+
     state = _ObjectiveState(quotes, ctx, config)
     lower = np.concatenate([bounds.lower()] * 2)
     upper = np.concatenate([bounds.upper()] * 2)

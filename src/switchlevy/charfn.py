@@ -38,7 +38,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.optimize import brentq
 
 from .regime import Family, RegimeParams, SwitchingModel
 from .subordinators import laplace_exponent, laplace_exponent_derivatives, real_domain_sup, spec_for
@@ -256,6 +255,8 @@ def risk_neutral_drift(params: RegimeParams, family: Family, r: float) -> float:
     family a solution requires beta >= r/alpha; otherwise the needed
     exponential moment does not exist.
     """
+    from scipy.optimize import brentq
+
     spec = spec_for(params, family)
     half_var = 0.5 * params.sigma**2
 

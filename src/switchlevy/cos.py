@@ -19,7 +19,7 @@ from typing import Sequence
 
 import numpy as np
 from scipy.linalg import expm
-from scipy.stats import norm
+from scipy.special import ndtr
 
 from .charfn import (
     CharFn,
@@ -360,7 +360,7 @@ def bs_closed_form(
     else:
         d1 = (math.log(s0 / strike) + (r + 0.5 * sigma**2) * maturity) / vol
         d2 = d1 - vol
-        call = s0 * norm.cdf(d1) - strike * disc * norm.cdf(d2)
+        call = s0 * ndtr(d1) - strike * disc * ndtr(d2)
     if kind is OptionKind.CALL:
         return call
     return call - s0 + strike * disc

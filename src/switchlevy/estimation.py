@@ -18,8 +18,6 @@ from datetime import date
 
 import numpy as np
 from numpy.polynomial.hermite import hermgauss
-from scipy import stats
-from scipy.optimize import least_squares, minimize
 
 from .charfn import increment_cumulants, regime_char_exponent
 from .mc import FrozenTerminalSampler
@@ -121,14 +119,18 @@ def descriptive_stats(series: ReturnSeries) -> Stats:
     z = series.log_returns
     if len(z) < 4:
         raise EstimationError(f"need at least 4 observations, got {len(z)}")
-    var = float(np.var(z, ddof=1))
-    if var == 0.0:
+    # biased central moments, formed as scipy.stats.skew and kurtosis form them
+    mean = np.mean(z)
+    dev = z - mean
+    dev2 = dev**2
+    m2 = np.mean(dev2)
+    if m2 <= (np.finfo(float).eps * mean) ** 2:
         raise EstimationError("constant series: skewness and kurtosis undefined")
     return Stats(
-        mean=float(np.mean(z)),
-        variance=var,
-        skewness=float(stats.skew(z)),
-        kurtosis=float(stats.kurtosis(z, fisher=False)),
+        mean=float(mean),
+        variance=float(np.var(z, ddof=1)),
+        skewness=float(np.mean(dev2 * dev) / m2**1.5),
+        kurtosis=float(np.mean(dev2**2) / m2**2.0),
     )
 
 
@@ -232,6 +234,8 @@ def fit_moments(
     dt: float = TRADING_DT,
 ) -> FitResult:
     """Solve the four-equation moment system for given raw moments."""
+    from scipy.optimize import least_squares
+
     mhat = np.asarray(mhat, dtype=float)
     if mhat.shape != (4,) or not np.all(np.isfinite(mhat)):
         raise EstimationError(f"need four finite raw moments, got {mhat}")
@@ -295,6 +299,8 @@ def mde_fit(
     dt: float = TRADING_DT,
 ) -> FitResult:
     """Minimum-distance fit on the empirical characteristic function."""
+    from scipy.optimize import minimize
+
     z = np.asarray(returns, dtype=float)
     if z.size < 30:
         raise EstimationError(f"need at least 30 returns, got {z.size}")
@@ -418,6 +424,8 @@ def mle_fit(
     The fit is the point with the lowest -ll the search evaluated, start
     and finite-difference probes included, not L-BFGS-B's last iterate.
     """
+    from scipy.optimize import minimize
+
     z = np.asarray(returns, dtype=float)
     if n_sim < 10_000:
         raise EstimationError("n_sim must be >= 10000")

@@ -325,6 +325,25 @@ class TestBsClosedForm:
         assert sl.bs_closed_form(20.0, 30.0, 0.5, 0.001, 2.0, CALL) == pytest.approx(8.96361, abs=1e-5)
         assert sl.bs_closed_form(20.0, 1.0, 0.1, 1.0, 3.0, CALL) == pytest.approx(19.3139, abs=1e-3)
 
+    def test_matches_norm_cdf_reference(self):
+        from scipy.stats import norm
+
+        def reference(s0, strike, r, sigma, maturity, kind):
+            disc = math.exp(-r * maturity)
+            vol = sigma * math.sqrt(maturity)
+            d1 = (math.log(s0 / strike) + (r + 0.5 * sigma**2) * maturity) / vol
+            call = s0 * norm.cdf(d1) - strike * disc * norm.cdf(d1 - vol)
+            return call if kind is CALL else call - s0 + strike * disc
+
+        # criterion 1's rows (s0, strike, r, sigma, maturity), then random ones
+        rows = [(20.0, 1.0, 0.04, 0.5, 1.0), (20.0, 1.0, 0.1, 1.0, 3.0), (20.0, 30.0, 0.5, 0.001, 2.0)]
+        rng = np.random.default_rng(7)
+        lows, highs = (1.0, 1.0, -0.05, 0.01, 0.01), (100.0, 100.0, 0.5, 1.5, 5.0)
+        rows += [tuple(row) for row in rng.uniform(lows, highs, size=(100, 5))]
+        for row in rows:
+            for kind in (CALL, PUT):
+                assert sl.bs_closed_form(*row, kind) == reference(*row, kind)
+
     def test_vanishing_vol_above_forward_strike(self):
         assert sl.bs_closed_form(20.0, 25.0, 0.04, 1e-14, 1.0, CALL) == 0.0
 

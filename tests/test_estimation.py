@@ -32,6 +32,25 @@ class TestDescriptiveStats:
         with pytest.raises(EstimationError, match="constant"):
             sl.descriptive_stats(_series([0.01, 0.01, 0.01, 0.01]))
 
+    def test_near_constant_series_rejected(self):
+        # nonzero variance, but a spread below the rounding of the mean
+        with pytest.raises(EstimationError, match="constant"):
+            sl.descriptive_stats(_series([0.01, 0.01, 0.01, np.nextafter(0.01, 1.0)]))
+
+    @pytest.mark.parametrize("sample", ["normal", "gamma", "four"])
+    def test_matches_scipy_stats(self, sample):
+        from scipy import stats
+
+        rng = np.random.default_rng(31)
+        z = {
+            "normal": 0.01 * rng.standard_normal(5000) + 3e-4,
+            "gamma": 0.02 * rng.gamma(0.4, 1.0, 2000) - 0.005,
+            "four": np.array([0.013, -0.004, 0.027, -0.019]),
+        }[sample]
+        s = sl.descriptive_stats(_series(z))
+        assert s.skewness == pytest.approx(float(stats.skew(z)), rel=1e-12)
+        assert s.kurtosis == pytest.approx(float(stats.kurtosis(z, fisher=False)), rel=1e-12)
+
     def test_minimum_length(self):
         with pytest.raises(EstimationError):
             sl.descriptive_stats(_series([0.01, 0.02, 0.03]))

@@ -1,0 +1,38 @@
+"""Import footprint: which scipy submodules a run loads, in a fresh interpreter."""
+
+import json
+import os
+import subprocess
+import sys
+from pathlib import Path
+
+SRC = Path(__file__).resolve().parents[1] / "src"
+
+SCRIPT = """
+import json, sys
+import switchlevy as sl
+import switchlevy.cli
+
+def loaded():
+    return sorted(m for m in ("scipy.optimize", "scipy.stats") if m in sys.modules)
+
+stages = {"import": loaded()}
+p1 = sl.RegimeParams(0.01, 0.3, 2.0, 2.0)
+p2 = sl.RegimeParams(-0.1, 0.6, 1.0, 4.0)
+model = sl.SwitchingModel((p1, p2), 2.5, 1.0, sl.Family.INVERSE_GAUSSIAN, 20.0, 0.04)
+contracts = [sl.ContractSpec(k, 1.0, sl.OptionKind.CALL) for k in (18.0, 20.0, 22.0)]
+sl.price_table(model, contracts)
+sl.price_european_mc(model, contracts[0], 2000, seed=1)
+stages["price"] = loaded()
+sl.risk_neutral_drift(p1, sl.Family.GAMMA, 0.04)
+stages["drift"] = loaded()
+print(json.dumps(stages))
+"""
+
+
+def test_pricing_loads_no_optimizer_or_stats():
+    env = os.environ | {"PYTHONPATH": str(SRC)}
+    out = subprocess.run([sys.executable, "-c", SCRIPT], env=env, capture_output=True, text=True)
+    assert out.returncode == 0, out.stderr
+    stages = json.loads(out.stdout.splitlines()[-1])
+    assert stages == {"import": [], "price": [], "drift": ["scipy.optimize"]}
