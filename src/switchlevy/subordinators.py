@@ -15,6 +15,8 @@ keep the argument off the cut and violations raise BranchCutError.
 
 from __future__ import annotations
 
+import math
+import os
 from dataclasses import dataclass
 
 import numpy as np
@@ -142,15 +144,64 @@ def increment_from_draws(spec: SubordinatorSpec, dt, u, nu, z):
 
     Used for common-random-numbers objectives: for fixed (u, nu, z) the
     output varies smoothly with (alpha, beta). u is uniform (Gamma
-    inverse CDF), (nu, z) standard normal/uniform (IG transform).
+    inverse CDF), (nu, z) standard normal/uniform (IG transform). The
+    Gamma inverse CDF of a large array runs split across the usable CPUs
+    (`_gammaincinv`), with the same bits as one serial call.
     """
     dt = np.asarray(dt, dtype=float)
     if spec.family is Family.IDENTITY:
         return np.broadcast_to(dt, np.shape(u)).copy() if np.shape(u) else dt
     if spec.family is Family.GAMMA:
-        return special.gammaincinv(spec.alpha * dt, u) / spec.beta
+        return _gammaincinv(spec.alpha * dt, u) / spec.beta
     if spec.family is Family.INVERSE_GAUSSIAN:
         mean = spec.alpha * dt / spec.beta
         shape = (spec.alpha * dt) ** 2
         return _ig_transform(mean, shape, nu, z)
     raise ValueError(f"unknown family {spec.family}")  # pragma: no cover
+
+
+# elements per chunk below which a thread costs more than it saves: a
+# thread costs about 0.2 ms, gammaincinv about 1.4 us per element at a ~ 0.01
+_SPLIT_CHUNK = 2048
+
+
+def _usable_cpus() -> int:
+    """CPUs this process may run on: its affinity mask where there is one."""
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count() or 1
+
+
+def _gammaincinv(a, u):
+    """scipy.special.gammaincinv(a, u), bit for bit, split across the CPUs.
+
+    The broadcast, flattened arrays are cut into min(usable CPUs, size //
+    _SPLIT_CHUNK) contiguous chunks. The calling thread inverts the first
+    and threads made for this call only invert the others, each into its
+    slice of one output array; an exception in any chunk reaches the
+    caller. gammaincinv is elementwise and releases the GIL, so every
+    element gets the bits of the serial call. One chunk is the plain call.
+    """
+    shape = np.broadcast_shapes(np.shape(a), np.shape(u))
+    size = math.prod(shape)
+    chunks = size // _SPLIT_CHUNK
+    if chunks > 1:
+        chunks = min(chunks, _usable_cpus())
+    if chunks <= 1:
+        return special.gammaincinv(a, u)
+    from concurrent.futures import ThreadPoolExecutor
+
+    a, u = (np.broadcast_to(np.asarray(x, dtype=float), shape).reshape(-1) for x in (a, u))
+    out = np.empty(size)
+    edges = [size * k // chunks for k in range(chunks + 1)]
+    parts = [slice(lo, hi) for lo, hi in zip(edges[:-1], edges[1:])]
+
+    def invert(part: slice) -> None:
+        special.gammaincinv(a[part], u[part], out=out[part])
+
+    with ThreadPoolExecutor(max_workers=chunks - 1) as pool:
+        pending = [pool.submit(invert, part) for part in parts[1:]]
+        invert(parts[0])
+        for job in pending:
+            job.result()
+    return out.reshape(shape)

@@ -1,5 +1,6 @@
 import csv
 import json
+from datetime import date, timedelta
 
 import numpy as np
 import pytest
@@ -190,6 +191,29 @@ class TestEstimateCommand:
         b = sl.ParamBounds()
         for blk in doc["regimes"]:
             assert b.contains(sl.RegimeParams(blk["mu"], blk["sigma"], blk["alpha"], blk["beta"]))
+
+    def test_gamma_mle_output_does_not_depend_on_worker_count(self, tmp_path, monkeypatch):
+        """The split Gamma inverse CDF keeps every bit: one worker, the
+        default count and three workers write the same fitted JSON."""
+        rng = np.random.default_rng(41)
+        n = 400
+        dl = sl.sample_increment(sl.SubordinatorSpec(sl.Family.GAMMA, 10.0, 10.0), sl.TRADING_DT, rng, size=n)
+        sigma = np.where((np.arange(n) // 40) % 2 == 0, 0.3, 0.8)
+        z = 0.05 * dl + sigma * np.sqrt(dl) * rng.standard_normal(n)
+        dates = [date(2020, 1, 1) + timedelta(days=k) for k in range(n + 1)]
+        pf = tmp_path / "prices.csv"
+        write_price_csv(pf, dates, 50.0 * np.exp(np.concatenate(([0.0], np.cumsum(z)))))
+        outputs = []
+        for cpus in (1, None, 3):
+            if cpus is not None:
+                monkeypatch.setattr(sl.subordinators, "_usable_cpus", lambda: cpus)
+            out = tmp_path / f"fit-{cpus}.json"
+            code = main(["estimate", "--prices", str(pf), "--out", str(out), "--method", "mle",
+                         "--family", "gamma", "--regime-rule", "threshold:0.04"])
+            assert code == 0
+            outputs.append(out.read_bytes())
+            monkeypatch.undo()
+        assert outputs[0] == outputs[1] == outputs[2]
 
     def test_bad_rule_exits_2(self, tmp_path):
         dates, prices = synthetic_price_history()

@@ -101,6 +101,33 @@ class TestSegmentation:
         with pytest.raises(ValueError, match="reversed"):
             sl.segment_regimes(series, sl.DateWindows(((date(2021, 1, 1), date(2020, 1, 1)),)))
 
+    @pytest.mark.parametrize("seed", range(5))
+    def test_date_windows_match_per_date_loop(self, seed):
+        """Labels equal the per-date any() loop they replace, on random
+        windows that overlap, nest, last one day, and start or end on a
+        series date or outside the series."""
+        rng = np.random.default_rng(seed)
+        series = _series(np.zeros(400), start=date(2020, 1, 1))
+        first = series.dates[0].toordinal()
+        windows = []
+        for _ in range(rng.integers(1, 12)):
+            lo = first + int(rng.integers(-20, 420))
+            hi = lo + int(rng.integers(0, 60))
+            windows.append((date.fromordinal(lo), date.fromordinal(hi)))
+        windows.append((series.dates[0], series.dates[0]))  # one day, on the first date
+        windows.append((series.dates[-1], date.fromordinal(first + 500)))  # past the end
+        windows = [w for w in windows if w[1] >= series.dates[0] and w[0] <= series.dates[-1]]
+        labels = sl.segment_regimes(series, sl.DateWindows(tuple(windows)))
+        expected = [1 if any(lo <= d <= hi for lo, hi in windows) else 2 for d in series.dates]
+        assert labels.dtype == np.int64
+        np.testing.assert_array_equal(labels, expected)
+
+    def test_nested_and_shared_boundary_windows(self):
+        series = _series(np.zeros(10), start=date(2020, 1, 1))
+        d = series.dates
+        rule = sl.DateWindows(((d[1], d[6]), (d[2], d[3]), (d[6], d[6]), (d[8], d[9])))
+        np.testing.assert_array_equal(sl.segment_regimes(series, rule), [2, 1, 1, 1, 1, 1, 1, 2, 1, 1])
+
 
 class TestHoldingRates:
     def test_single_regime_requires_flag(self):

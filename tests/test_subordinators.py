@@ -1,5 +1,10 @@
+import sys
+import threading
+from types import SimpleNamespace
+
 import numpy as np
 import pytest
+from scipy import special
 
 import switchlevy as sl
 from switchlevy.subordinators import (
@@ -164,3 +169,82 @@ class TestFrozenDrawTransforms:
         prm = sl.RegimeParams(0.1, 0.2, 0.3, 0.4)
         spec = spec_for(prm, GAMMA)
         assert (spec.alpha, spec.beta, spec.family) == (0.3, 0.4, GAMMA)
+
+
+class TestSplitGammaInverse:
+    """The Gamma inverse CDF split across threads equals one serial
+    gammaincinv call bit for bit, whatever the chunk count."""
+
+    CHUNK = sl.subordinators._SPLIT_CHUNK
+
+    @staticmethod
+    def _recording(monkeypatch, cpus, fail_on=None):
+        """Force the CPU count; count the gammaincinv calls, and raise in the
+        chunk run by the caller's thread or by a worker when asked to."""
+        calls = []
+        caller = threading.current_thread()
+
+        def gammaincinv(a, u, **kw):
+            calls.append(np.size(u))
+            on_caller = threading.current_thread() is caller
+            if fail_on is not None and on_caller == (fail_on == "caller"):
+                raise FloatingPointError(f"chunk on the {fail_on}")
+            return special.gammaincinv(a, u, **kw)
+
+        monkeypatch.setattr(sl.subordinators, "_usable_cpus", lambda: cpus)
+        monkeypatch.setattr(sl.subordinators, "special", SimpleNamespace(gammaincinv=gammaincinv))
+        return calls
+
+    @pytest.mark.parametrize("cpus", [1, 2, 3, 4])
+    @pytest.mark.parametrize("n", [0, 1, 2 * CHUNK - 1, 2 * CHUNK, 2 * CHUNK + 1, 10_001])
+    @pytest.mark.parametrize("per_path_dt", [False, True])
+    def test_equals_serial_call(self, monkeypatch, cpus, n, per_path_dt):
+        rng = np.random.default_rng(n + 17 * cpus)
+        u = rng.random(n)
+        u[: min(n, 2)] = (0.0, 1.0)[: min(n, 2)]  # both ends of the inverse CDF
+        dt = rng.uniform(1e-3, 0.5, n) if per_path_dt else 0.5
+        spec = _spec(GAMMA, 0.03, 2.5)
+        expected = special.gammaincinv(spec.alpha * np.asarray(dt), u) / spec.beta
+        calls = self._recording(monkeypatch, cpus)
+        got = increment_from_draws(spec, dt, u, None, None)
+        assert got.shape == expected.shape
+        assert np.array_equal(got, expected)
+        chunks = max(1, min(cpus, n // self.CHUNK))
+        assert len(calls) == chunks and sum(calls) == n
+        assert max(calls) - min(calls) <= 1  # contiguous chunks of equal size
+
+    def test_scalar_draw_is_plain_call(self, monkeypatch):
+        self._recording(monkeypatch, 4)
+        got = increment_from_draws(_spec(GAMMA, 0.8, 2.0), 0.5, 0.3, None, None)
+        assert got == special.gammaincinv(0.4, 0.3) / 2.0
+
+    def test_two_dimensional_draws(self, monkeypatch):
+        rng = np.random.default_rng(3)
+        u, dt = rng.random((3, 5000)), rng.uniform(0.1, 1.0, 5000)
+        calls = self._recording(monkeypatch, 3)
+        got = increment_from_draws(_spec(GAMMA, 0.2, 1.0), dt, u, None, None)
+        assert len(calls) == 3
+        assert np.array_equal(got, special.gammaincinv(0.2 * dt, u))
+
+    @pytest.mark.parametrize("fail_on", ["caller", "worker"])
+    def test_failing_chunk_reaches_caller(self, monkeypatch, fail_on):
+        u = np.random.default_rng(4).random(4 * self.CHUNK)
+        self._recording(monkeypatch, 4, fail_on=fail_on)
+        with pytest.raises(FloatingPointError, match=fail_on):
+            increment_from_draws(_spec(GAMMA, 0.8, 2.0), 0.5, u, None, None)
+
+    def test_more_workers_than_cores_under_fast_switching(self, monkeypatch):
+        rng = np.random.default_rng(5)
+        u, dt = rng.random(40_000), rng.uniform(1e-3, 0.5, 40_000)
+        expected = special.gammaincinv(0.03 * dt, u)
+        monkeypatch.setattr(sl.subordinators, "_usable_cpus", lambda: 16)
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            for _ in range(10):
+                assert np.array_equal(increment_from_draws(_spec(GAMMA, 0.03, 1.0), dt, u, None, None), expected)
+        finally:
+            sys.setswitchinterval(interval)
+
+    def test_real_cpu_count_is_positive(self):
+        assert sl.subordinators._usable_cpus() >= 1
