@@ -2,9 +2,11 @@
 
 Minimizes the root-mean-squared pricing error over a quote table by
 bounded trust-region least squares on the vector of pricing errors.
-Quotes that are out of the money per the moneyness rule are priced by
-Monte Carlo with common random numbers (the cosine expansion loses
-accuracy there); all other rows go through the cosine pricer. The
+Quotes that are out of the money per the paper's moneyness rule are priced
+by Monte Carlo with common random numbers; all other rows go through the
+cosine pricer. The routing is the paper's rule, not an accuracy limit:
+on OTM calls at moneyness 1.1 to 1.3 the 512-term cosine price is within
+1.5e-10 (IG) and 1.1e-5 (Gamma) of an 8192-term one. The
 switching intensities are held fixed; both regimes' parameters are
 fitted jointly.
 """

@@ -157,54 +157,87 @@ class CharFn:
     """Characteristic function of y0 + Z_t for a switching model.
 
     y0 defaults to log(s0); pricing code recenters to log-moneyness by
-    passing y0 = log(s0 / K).
+    passing y0 = log(s0 / K). t is one horizon, or an array-like of
+    horizons that broadcasts against the u grid of `switching_cf`: an
+    (M, 1) column against an (M, n) grid gives one row per horizon in one
+    sweep. Every horizon must be finite and > 0. t is kept as given, so a
+    column of horizons passed as nested tuples, ((t1,), (t2,), ...), keeps
+    the CF hashable, as a scalar t does.
     """
 
     model: SwitchingModel
-    t: float
+    t: float | tuple | np.ndarray
     y0: float | None = None
 
     def __post_init__(self) -> None:
-        if self.t <= 0:
-            raise ValueError("t must be > 0")
+        horizons = np.asarray(self.t, dtype=float).ravel().tolist()
+        if not (horizons and all(0 < t < math.inf for t in horizons)):
+            raise ValueError(f"every horizon t must be finite and > 0, got {self.t}")
         if self.y0 is None:
             object.__setattr__(self, "y0", math.log(self.model.s0))
 
 
-def _row_sum_parts(a: np.ndarray):
-    """Eigenvalue pieces of a stack of 2x2 matrices: h = (a11 - a22)/2, d,
-    the cosh part e^m cosh d and the sinh part e^m sinh(d)/d.
+def _phi_entries(model: SwitchingModel, t, u):
+    """Entries (a11, a22, a12, a21) of t Phi(u), broadcast over t and u,
+    without forming the (..., 2, 2) stack; t must hold valid horizons."""
+    psi1 = np.asarray(regime_char_exponent(model.regimes[0], model.family, u))
+    psi2 = np.asarray(regime_char_exponent(model.regimes[1], model.family, u))
+    finite = math.isfinite(model.lambda12) and math.isfinite(model.lambda21)
+    if not (finite and np.isfinite(psi1).all() and np.isfinite(psi2).all()):
+        raise ValueError("matrix entries must be finite")
+    return (
+        t * (-model.lambda12 + psi1),
+        t * (-model.lambda21 + psi2),
+        t * model.lambda12,
+        t * model.lambda21,
+    )
+
+
+def _row_sum_parts(a11, a22, a12, a21):
+    """Eigenvalue pieces of 2x2 matrices given by their entries, arrays
+    that broadcast to one shape: h = (a11 - a22)/2, d, the cosh part
+    e^m cosh d and the sinh part e^m sinh(d)/d.
 
     The cosh part is (e^{m+d} + e^{m-d}) / 2, which cannot overflow when
     Re(m +/- d) <= 0. The sinh part is (e^{m+d} - e^{m-d}) / (2d) for
     |d| >= 1 and e^m sinh(d)/d for |d| < 1, where the difference would
     cancel; the latter tends to e^m as d -> 0, so a defective A needs no
-    special case.
+    special case. The entries must be finite (`_entries` and `_phi_entries`
+    check them).
     """
-    a = np.asarray(a, dtype=complex)
-    if not np.all(np.isfinite(a)):
-        raise ValueError("matrix entries must be finite")
-    m = 0.5 * (a[:, 0, 0] + a[:, 1, 1])
-    h = 0.5 * (a[:, 0, 0] - a[:, 1, 1])
-    d = np.sqrt(h * h + a[:, 0, 1] * a[:, 1, 0])
+    m = 0.5 * (a11 + a22)
+    h = 0.5 * (a11 - a22)
+    d = np.sqrt(h * h + a12 * a21)
     e_plus = np.exp(m + d)
     e_minus = np.exp(m - d)
     small = np.abs(d) < 1.0
     sinh_part = (e_plus - e_minus) / (2.0 * np.where(small, 1.0, d))
     ds = d[small]
-    sinhc = np.ones_like(ds)
-    nonzero = ds != 0
-    sinhc[nonzero] = np.sinh(ds[nonzero]) / ds[nonzero]
+    sinhc = np.empty_like(ds)
+    sinhc.fill(1.0)
+    np.divide(np.sinh(ds), ds, out=sinhc, where=ds != 0)
     sinh_part[small] = np.exp(m[small]) * sinhc
     return m, h, d, small, 0.5 * (e_plus + e_minus), sinh_part
+
+
+def _entries(a: np.ndarray):
+    """(a11, a22, a12, a21) of a stack of 2x2 matrices, shape (n, 2, 2)."""
+    a = np.asarray(a, dtype=complex)
+    if not np.isfinite(a).all():
+        raise ValueError("matrix entries must be finite")
+    return a[:, 0, 0], a[:, 1, 1], a[:, 0, 1], a[:, 1, 0]
+
+
+def _row_sum(a11, a22, a12, a21):
+    """e_1^T exp(A) [1, 1]^T from the entries of A, broadcast arrays."""
+    _, h, _, _, cosh_part, sinh_part = _row_sum_parts(a11, a22, a12, a21)
+    return cosh_part + sinh_part * (h + a12)
 
 
 def expm_row_sum(a: np.ndarray) -> np.ndarray:
     """e_1^T exp(A) [1, 1]^T for a stack of 2x2 matrices, shape (n, 2, 2),
     in closed form through the eigenvalues m +/- d of A."""
-    a = np.asarray(a, dtype=complex)
-    _, h, _, _, cosh_part, sinh_part = _row_sum_parts(a)
-    return cosh_part + sinh_part * (h + a[:, 0, 1])
+    return _row_sum(*_entries(a))
 
 
 # T(d^2) = (cosh d - sinh(d)/d) / (2 d^2) = sum_j (j + 1) d^{2j} / (2j + 3)!,
@@ -213,7 +246,13 @@ _T_SERIES = np.array([(j + 1) / math.factorial(2 * j + 3) for j in range(11)])
 
 
 def expm_row_sum_grad(a: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """f = e_1^T exp(A) [1, 1]^T and its derivatives in a11 and a22.
+    """f = e_1^T exp(A) [1, 1]^T and its derivatives in a11 and a22, for a
+    stack of 2x2 matrices, shape (n, 2, 2); see `_row_sum_grad`."""
+    return _row_sum_grad(*_entries(a))
+
+
+def _row_sum_grad(a11, a22, a12, a21):
+    """`expm_row_sum_grad` on the entries of A, broadcast arrays.
 
     With f = e^m [cosh d + S (h + a12)], S = sinh(d)/d, d^2 = h^2 + a12 a21
     and T = dS/d(d^2) = (cosh d - S) / (2 d^2),
@@ -228,23 +267,31 @@ def expm_row_sum_grad(a: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray
     taken from its series for |d| < 1, which avoids the 0/0 limit at a
     defective A, and from the cosh and sinh parts otherwise.
     """
-    a = np.asarray(a, dtype=complex)
-    m, h, d, small, cosh_part, sinh_part = _row_sum_parts(a)
-    f = cosh_part + sinh_part * (h + a[:, 0, 1])
+    m, h, d, small, cosh_part, sinh_part = _row_sum_parts(a11, a22, a12, a21)
+    f = cosh_part + sinh_part * (h + a12)
     d2 = d * d
     t_part = (cosh_part - sinh_part) / (2.0 * np.where(small, 1.0, d2))
     t_part[small] = np.exp(m[small]) * np.polynomial.polynomial.polyval(d2[small], _T_SERIES)
-    df_da22 = a[:, 0, 1] * (0.5 * sinh_part + t_part * (a[:, 1, 0] - h))
+    df_da22 = a12 * (0.5 * sinh_part + t_part * (a21 - h))
     return f, f - df_da22, df_da22
 
 
 def switching_cf(cf: CharFn, u):
-    """phi(u) = exp(i u y0) e_1^T exp(t Phi(u)) [1,1]^T; u scalar or array."""
-    u_arr = np.asarray(u, dtype=complex).reshape(-1)
-    vals = np.exp(1j * u_arr * cf.y0) * expm_row_sum(cf.t * phi_matrix_batch(cf.model, u_arr))
-    if np.isscalar(u) or np.asarray(u).ndim == 0:
-        return complex(vals[0])
-    return vals.reshape(np.asarray(u).shape)
+    """phi(u) = exp(i u y0) e_1^T exp(t Phi(u)) [1,1]^T; u scalar or array.
+
+    The result has the broadcast shape of u and cf.t, so an array of
+    horizons sweeps every one of them in one call; a scalar u with a
+    scalar horizon gives a complex number.
+    """
+    u_arr = np.asarray(u, dtype=complex)
+    t = np.asarray(cf.t, dtype=float)
+    scalar = u_arr.ndim == 0 and t.ndim == 0
+    if scalar:
+        u_arr = u_arr.reshape(1)
+    vals = _row_sum(*_phi_entries(cf.model, t, u_arr))
+    if cf.y0:
+        vals = np.exp(1j * u_arr * cf.y0) * vals
+    return complex(vals[0]) if scalar else vals
 
 
 def risk_neutral_drift(params: RegimeParams, family: Family, r: float) -> float:

@@ -15,7 +15,7 @@ import math
 import warnings
 from dataclasses import dataclass
 from enum import Enum
-from typing import Sequence
+from typing import NamedTuple, Sequence
 
 import numpy as np
 from scipy.linalg import expm
@@ -23,9 +23,9 @@ from scipy.special import ndtr
 
 from .charfn import (
     CharFn,
-    expm_row_sum_grad,
+    _phi_entries,
+    _row_sum_grad,
     increment_cumulants,
-    phi_matrix_batch,
     regime_char_exponent_grad,
     switching_cf,
 )
@@ -73,7 +73,7 @@ class CosConfig:
             raise ValueError("cumulant_scale must be > 0")
 
 
-def log_return_cumulants(cf: CharFn) -> tuple[float, float, float]:
+def log_return_cumulants(cf: CharFn):
     """Exact cumulants c1, c2, c4 of y0 + Z_t, the variable whose CF is cf.
 
     The moment generating function is E[e^{theta Z_t}] = e_1^T exp(t K) 1
@@ -83,34 +83,46 @@ def log_return_cumulants(cf: CharFn) -> tuple[float, float, float]:
     block row t [Q, D_1, D_2/2!, D_3/3!, D_4/4!] has the Taylor coefficients
     of exp(t K(theta)) as its first block row (Van Loan 1978), so block n of
     row 0, summed and times n!, is the raw moment m_n.
+
+    The matrix is built once; an array of horizons cf.t takes one batched
+    `expm` over the stack t * matrix and gives three arrays of t's shape.
+    A scalar horizon gives three floats.
     """
     model = cf.model
     factorials = np.array([1.0, 2.0, 6.0, 24.0])
     kappa = np.array([increment_cumulants(p, model.family, 1.0) for p in model.regimes])
-    blocks = [generator_matrix(model)] + [np.diag(k) for k in (kappa / factorials).T]
-    big = np.zeros((5, 2, 5, 2))  # (block row, row, block column, column)
-    i = np.arange(5)
-    for n, block in enumerate(blocks):  # block n on the n-th block superdiagonal
-        big[i[: 5 - n], :, i[n:], :] = block
-    row = expm(cf.t * big.reshape(10, 10))[0].reshape(5, 2).sum(axis=1)
-    m1, m2, m3, m4 = row[1:] * factorials
-    c1 = m1 + cf.y0
-    c2 = m2 - m1**2
-    c4 = m4 - 4.0 * m3 * m1 - 3.0 * m2**2 + 12.0 * m2 * m1**2 - 6.0 * m1**4
-    if not all(map(math.isfinite, (c1, c2, c4))):
-        raise ValueError(f"non-finite cumulants c1={c1}, c2={c2}, c4={c4}")
-    return float(c1), float(c2), float(c4)
+    first = np.zeros((2, 10))  # first block row
+    first[:, :2] = generator_matrix(model)
+    first[0, 2::2], first[1, 3::2] = kappa / factorials  # diagonals of D_n / n!
+    big = np.zeros((10, 10))
+    for r in range(5):  # block n on the n-th block superdiagonal: row r is the first row shifted
+        big[2 * r : 2 * r + 2, 2 * r :] = first[:, : 10 - 2 * r]
+    t = np.asarray(cf.t, dtype=float)
+    top = expm(t[..., None, None] * big)[..., 0, :]
+    moments = ((top[..., 2::2] + top[..., 3::2]) * factorials).reshape(-1, 4).tolist()
+    cumulants = np.array([
+        (m1 + cf.y0, m2 - m1**2, m4 - 4.0 * m3 * m1 - 3.0 * m2**2 + 12.0 * m2 * m1**2 - 6.0 * m1**4)
+        for m1, m2, m3, m4 in moments
+    ])
+    if not np.isfinite(cumulants).all():
+        raise ValueError(f"non-finite cumulants (c1, c2, c4): {cumulants.tolist()}")
+    if t.ndim:
+        return tuple(cumulants.T.reshape((3,) + t.shape))
+    return tuple(cumulants[0].tolist())
 
 
-def truncation_interval(cf: CharFn, config: CosConfig) -> tuple[float, float]:
+def truncation_interval(cf: CharFn, config: CosConfig):
     """Expansion interval [a, b]: user-specified, or the cumulant rule
-    c1 -/+ L sqrt(c2 + sqrt|c4|)."""
+    c1 -/+ L sqrt(c2 + sqrt|c4|), as floats for a scalar horizon and as
+    arrays of cf.t's shape for an array of horizons."""
     if config.interval is not None:
         return config.interval
     c1, c2, c4 = log_return_cumulants(cf)
-    half = config.cumulant_scale * math.sqrt(max(c2, 0.0) + math.sqrt(abs(c4)))
-    if not (math.isfinite(half) and half > 0):
+    half = config.cumulant_scale * np.sqrt(np.maximum(c2, 0.0) + np.sqrt(np.abs(c4)))
+    if not (np.isfinite(half) & (half > 0)).all():
         raise ValueError(f"degenerate truncation width {half}")
+    if half.ndim:
+        return c1 - half, c1 + half
     return float(c1 - half), float(c1 + half)
 
 
@@ -146,6 +158,8 @@ def _guard_put_sums(raw: np.ndarray, strikes: np.ndarray) -> np.ndarray:
     """Per-contract guards on discounted cosine put sums: a sum below
     -1e-8 max(1, K) raises PricingError; a smaller negative sum is
     truncation noise, clipped to 0 with one UserWarning per contract."""
+    if raw.min() >= 0.0:  # nothing to clip
+        return raw
     too_negative = raw < -1e-8 * np.maximum(1.0, strikes)
     if np.any(too_negative):
         raise PricingError(
@@ -219,7 +233,7 @@ def _powers(theta, n_terms: int) -> np.ndarray:
     return (high[..., :, None] * low[..., None, :]).reshape(*high.shape[:-1], -1)[..., :n_terms]
 
 
-def _payoff_sums(terms: np.ndarray, strikes: np.ndarray, a, b, width: float) -> np.ndarray:
+def _payoff_sums(terms: np.ndarray, strikes: np.ndarray, a, b, width, counts=None) -> np.ndarray:
     """Sum_k terms_k V_k of every strike, with V = put_coefficients(strikes,
     a, b, n) and b - a = width, without forming V.
 
@@ -233,61 +247,119 @@ def _payoff_sums(terms: np.ndarray, strikes: np.ndarray, a, b, width: float) -> 
     omega/(1 + omega^2) of the closed form is split as above so that its two
     O(1/omega) parts do not cancel when b > 0 (d = 0). The z_k come from
     `_split_powers` at theta = pi s / width, so the sums take one
-    (K, R) @ (R, 3 J M) product and 2 sqrt(n) exponentials per angle.
+    (angles, R) @ (R, rows) product per group of angles that shares its
+    weight rows, and 2 sqrt(n) exponentials per angle.
 
-    Either each strike has its own interval (a, b of shape (K,)) and all
-    share the term rows, shape (J, n), or all share the interval and each
-    strike has its own term rows, shape (K, J, n). Both flatten to a set of
-    angles times a set of weight rows, (K, 3J) or (1, 3KJ), read back as
-    (K, 3, J). Returns shape (K, J).
+    Three layouts, each of K strikes:
+    - each strike has its own interval (a, b of shape (K,)) and all share
+      the term rows, shape (J, n), and the width;
+    - as above for G groups of consecutive strikes, `counts` of them each:
+      group g has its own term rows terms[g] and width width[g] (terms of
+      shape (G, J, n), width of shape (G,) or (G, 1));
+    - all share the interval (scalar a, b and width) and each strike has
+      its own term rows, shape (K, J, n): one angle against K J rows.
+    Returns shape (K, J).
     """
     n = terms.shape[-1]
+    if terms.ndim == 2:
+        terms = terms[None]
+    width = np.asarray(width, dtype=float).reshape(-1, 1)
+    if np.asarray(a).ndim == 0:
+        counts = [1]  # one angle for all rows
+    elif counts is None:
+        counts = [len(strikes)]
+
+    def per_strike(x):  # a row per group, or per strike, to a row per strike
+        return x if len(counts) == 1 else x.repeat(counts, axis=0)
+
     d = np.minimum(0.0, b)
     span = np.maximum(d - a, 0.0)
-    high, low = _split_powers(np.reshape(np.pi * span / width, -1), n)
+    widths = per_strike(width)
+    high, low = _split_powers(np.pi * span / widths[:, 0], n)
     m_len, r_len = high.shape[-1], low.shape[-1]
     om = np.arange(n) * (np.pi / width)
     lorentz = 1.0 / (1.0 + om * om)
-    scales = np.stack([np.divide(lorentz, om, out=np.zeros(n), where=om > 0.0), om * lorentz, lorentz])
-    weights = np.zeros(terms.shape[:-2] + (3,) + terms.shape[-2:-1] + (m_len * r_len,))
-    np.multiply(terms[..., None, :, :], scales[:, None, :], out=weights[..., :n])
-    table = weights.reshape(-1, m_len, r_len).transpose(2, 0, 1).reshape(r_len, -1)
-    inner = (low @ table).reshape(len(low), -1, m_len)
-    sums = (inner @ high[:, :, None]).reshape(len(strikes), 3, -1)
-    d, span, a = (np.reshape(x, (-1, 1)) for x in (d, span, a))
+    scales = np.zeros((len(width), 3, n))  # the three weight rows per term row
+    np.divide(lorentz, om, out=scales[:, 0], where=om > 0.0)
+    np.multiply(om, lorentz, out=scales[:, 1])
+    scales[:, 2] = lorentz
+    weights = np.zeros(terms.shape[:1] + (3,) + terms.shape[1:-1] + (m_len * r_len,))
+    np.multiply(terms[:, None], scales[:, :, None], out=weights[..., :n])
+    groups = len(width)
+    table = weights.reshape(groups, -1, m_len, r_len).transpose(0, 3, 1, 2).reshape(groups, r_len, -1)
+    inner = np.empty((len(low), table.shape[-1]), dtype=complex)
+    stop = 0
+    for group, count in zip(table, counts):
+        np.matmul(low[stop : stop + count], group, out=inner[stop : stop + count])
+        stop += count
+    sums = (inner.reshape(len(low), -1, m_len) @ high[:, :, None]).reshape(len(strikes), 3, -1)
+    first = per_strike(terms[..., 0])
+    lorentz_sums = per_strike((terms @ lorentz[:, :, None])[..., 0])
+    d, span, a = (np.asarray(x).reshape(-1, 1) for x in (d, span, a))
     total = (
-        terms[..., 0] * span
+        first * span
         + sums[:, 0].imag
         - np.expm1(d) * sums[:, 1].imag
         - np.exp(d) * sums[:, 2].real
-        + np.exp(a) * (terms @ lorentz)
+        + np.exp(a) * lorentz_sums
     )
-    return np.where(span > 0.0, (2.0 * strikes[:, None] / width) * total, 0.0)
+    return np.where(span > 0.0, (2.0 * strikes[:, None] / widths) * total, 0.0)
 
 
-def _maturity_setup(model: SwitchingModel, maturity: float, strikes: np.ndarray, config: CosConfig):
-    """The pieces of one maturity's cosine sums shared by `price_table` and
-    `price_table_jacobian`: the y0 = 0 CF, the u grid, the phase factor
-    exp(i u phase), and the put interval (a, b, width) for `_payoff_sums`.
+class _Grid(NamedTuple):
+    """The pieces of a grid's cosine sums shared by `price_table` and
+    `price_table_jacobian`; see `_grid_setup`."""
+
+    order: list[int]
+    counts: list[int]
+    strikes: np.ndarray
+    disc: np.ndarray
+    base: CharFn
+    u: np.ndarray
+    rotation: np.ndarray
+    sweep_rows: slice | np.ndarray
+    interval: tuple
+
+
+def _grid_setup(model: SwitchingModel, contracts: Sequence[ContractSpec], config: CosConfig) -> _Grid:
+    """Set up the cosine sums of every maturity of a grid at once.
+
+    The contracts are taken in maturity groups, in `_by_maturity` order:
+    `order` holds their input positions, `counts` the group sizes, and
+    `strikes`, the discount factors `disc` and the interval follow the
+    grouped order. `base` is the y0 = 0 CF with the M maturities as an
+    (M, 1) column of horizons (nested tuples, so the CF stays hashable),
+    and one `switching_cf` call on the u grid sweeps all of them.
 
     The strike enters only through the log-moneyness x0 = log(s0/K). With
-    the automatic interval, [a, b] is the cumulant interval of the y0 = 0
-    CF shifted by x0: a and b have shape (K,), and the phase u (x0 - a) is
-    shared by every strike, so the factor has shape (n_terms,). With a user
-    interval every strike shares [a, b] and gets its own phase row, shape
-    (K, n_terms), from `_powers`. Either way all strikes share the width,
-    and with it the u grid.
+    the automatic interval, maturity m has the cumulant interval
+    [a0_m, b0_m] of the y0 = 0 CF, shifted by x0 per strike: a and b have
+    one entry per contract, the width W_m and the u row u[m, k] = k pi / W_m
+    one per maturity (shape (M, 1) and (M, n_terms)), and the phase
+    u (x0 - a) = -u a0_m is shared by a maturity's strikes, so the factor
+    exp(i u phase) has one row per maturity. With a user interval every
+    contract shares [a, b], the width and one u row, and each contract gets
+    its own phase row from `_powers`. Either way `sweep_rows` picks, for
+    each phase row, the maturity row of the CF sweep that it multiplies.
     """
+    by_t = _by_maturity(contracts)
+    order = [i for idx in by_t.values() for i in idx]
+    counts = [len(idx) for idx in by_t.values()]
+    strikes = np.array([contracts[i].strike for i in order])
     x0 = np.log(model.s0 / strikes)
-    base = CharFn(model, maturity, y0=0.0)
+    disc = np.array([math.exp(-model.r * t) for t in by_t]).repeat(counts)
+    base = CharFn(model, tuple((t,) for t in by_t), y0=0.0)
     a0, b0 = truncation_interval(base, config)
     width = b0 - a0
     u = np.arange(config.n_terms) * np.pi / width
     if config.interval is None:
-        a, b, phase = x0 + a0, x0 + b0, -a0
+        a, b = x0 + a0.repeat(counts), x0 + b0.repeat(counts)
+        theta, sweep_rows = np.pi * -a0[:, 0] / width[:, 0], slice(None)
     else:
-        a, b, phase = a0, b0, x0 - a0
-    return base, u, _powers(np.pi * phase / width, config.n_terms), (a, b, width)
+        a, b, theta = a0, b0, np.pi * (x0 - a0) / width
+        sweep_rows = np.arange(len(counts)).repeat(counts)
+    rotation = _powers(theta, config.n_terms)
+    return _Grid(order, counts, strikes, disc, base, u, rotation, sweep_rows, (a, b, width))
 
 
 def price_table(
@@ -295,24 +367,26 @@ def price_table(
     contracts: Sequence[ContractSpec],
     config: CosConfig = CosConfig(),
 ) -> np.ndarray:
-    """COS prices of a grid of contracts, with one CF sweep per maturity.
+    """COS prices of a grid of contracts, with one CF sweep over all
+    maturities.
 
-    The CF is evaluated once per maturity at y0 = 0 (see `_maturity_setup`
-    for how strikes and the interval enter). All strikes of a maturity are
-    summed at once by `_payoff_sums`, which folds the closed-form payoff
-    coefficients into the terms without forming a (K, n_terms) matrix.
+    The CF is evaluated once at y0 = 0, on one u row per maturity (see
+    `_grid_setup` for how strikes and the interval enter). All contracts
+    are summed at once by `_payoff_sums`, which folds the closed-form
+    payoff coefficients into the terms without forming a (K, n_terms)
+    matrix. Prices come back in the order of `contracts`.
     """
     prices = np.empty(len(contracts))
-    for maturity, idx in _by_maturity(contracts).items():
-        strikes = np.array([contracts[i].strike for i in idx])
-        base, u, rotation, interval = _maturity_setup(model, maturity, strikes, config)
-        terms = np.real(switching_cf(base, u) * rotation)
-        terms[..., 0] *= 0.5
-        disc = math.exp(-model.r * maturity)
-        raw = disc * _payoff_sums(terms[..., None, :], strikes, *interval)[:, 0]
-        puts = _guard_put_sums(raw, strikes)
-        is_call = np.array([contracts[i].kind is OptionKind.CALL for i in idx])
-        prices[idx] = np.where(is_call, puts + model.s0 - strikes * disc, puts)
+    if not len(contracts):
+        return prices
+    grid = _grid_setup(model, contracts, config)
+    terms = np.real(switching_cf(grid.base, grid.u)[grid.sweep_rows] * grid.rotation)
+    terms[..., 0] *= 0.5
+    strikes, disc = grid.strikes, grid.disc
+    raw = disc * _payoff_sums(terms[:, None, :], strikes, *grid.interval, grid.counts)[:, 0]
+    puts = _guard_put_sums(raw, strikes)
+    is_call = np.array([contracts[i].kind is OptionKind.CALL for i in grid.order])
+    prices[grid.order] = np.where(is_call, puts + model.s0 - strikes * disc, puts)
     return prices
 
 
@@ -326,24 +400,22 @@ def price_table_jacobian(
 
     A parameter of regime j enters Phi(u) only through its diagonal entry
     Psi_j, so d phi/d theta = t (df/da_jj) dPsi_j/dtheta with f the row sum
-    of exp(t Phi(u)); the eight derivative rows go through the same phase
-    and `_payoff_sums` as the prices, with the truncation interval held at
-    its value at the model. Calls and puts share their sensitivities
-    (put-call parity).
+    of exp(t Phi(u)); the eight derivative rows of every maturity go
+    through the same `_grid_setup` phase and `_payoff_sums` as the prices,
+    with the truncation interval held at its value at the model. Calls and
+    puts share their sensitivities (put-call parity).
     """
     jac = np.empty((len(contracts), 8))
-    family = model.family
-    for maturity, idx in _by_maturity(contracts).items():
-        strikes = np.array([contracts[i].strike for i in idx])
-        _, u, rotation, interval = _maturity_setup(model, maturity, strikes, config)
-        _, df_da11, df_da22 = expm_row_sum_grad(maturity * phi_matrix_batch(model, u))
-        dphi = maturity * np.concatenate([
-            df_da11 * regime_char_exponent_grad(model.regimes[0], family, u),
-            df_da22 * regime_char_exponent_grad(model.regimes[1], family, u),
-        ])
-        terms = np.real(dphi * rotation[..., None, :])  # (8, n) or (K, 8, n)
-        terms[..., 0] *= 0.5
-        jac[idx] = math.exp(-model.r * maturity) * _payoff_sums(terms, strikes, *interval)
+    if not len(contracts):
+        return jac
+    grid = _grid_setup(model, contracts, config)
+    t, u = np.array(grid.base.t), grid.u
+    _, df_da11, df_da22 = _row_sum_grad(*_phi_entries(model, t, u))
+    grad1, grad2 = (np.moveaxis(regime_char_exponent_grad(p, model.family, u), 0, -2) for p in model.regimes)
+    dphi = t[..., None] * np.concatenate([df_da11[:, None] * grad1, df_da22[:, None] * grad2], axis=1)
+    terms = np.real(dphi[grid.sweep_rows] * grid.rotation[:, None, :])  # (M or K, 8, n)
+    terms[..., 0] *= 0.5
+    jac[grid.order] = grid.disc[:, None] * _payoff_sums(terms, grid.strikes, *grid.interval, grid.counts)
     return jac
 
 

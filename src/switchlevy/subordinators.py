@@ -69,8 +69,8 @@ def laplace_exponent(spec: SubordinatorSpec, s):
 
 
 def _check_branch(arg, spec: SubordinatorSpec, s) -> None:
-    bad = np.real(arg) <= 0
-    if np.any(bad):
+    bad = arg.real <= 0
+    if bad.any():
         offender = np.asarray(s).reshape(-1)[np.asarray(bad).reshape(-1)][0]
         raise BranchCutError(
             f"{spec.family.value} exponent argument s={offender} is outside "

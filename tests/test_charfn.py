@@ -11,6 +11,7 @@ from switchlevy.charfn import (
     phi_matrix_batch,
     regime_char_exponent_grad,
 )
+from switchlevy.cos import log_return_cumulants
 
 from conftest import bs_reduced_model, expm2_oracle, rn_regime, single_regime_increments
 
@@ -176,6 +177,72 @@ class TestSwitchingCf:
             for part in (np.real, np.imag):
                 se = part(vals).std(ddof=1) / np.sqrt(vals.size)
                 assert abs(part(vals).mean() - part(phi)) < 3 * se + 1e-12
+
+
+class TestArrayHorizons:
+    """A column of horizons sweeps every horizon in one `switching_cf` and
+    one `log_return_cumulants` call, with the scalar calls' results."""
+
+    T = np.array([0.25, 2.0, 0.75, 0.25, 1.5])
+
+    @pytest.mark.parametrize("family", list(sl.Family))
+    @pytest.mark.parametrize("y0", [0.0, 0.3])
+    def test_cf_rows_equal_scalar_calls(self, family, y0):
+        model = TestSwitchingCf()._random_model(np.random.default_rng(51))
+        model = sl.SwitchingModel(model.regimes, model.lambda12, model.lambda21, family, 20.0, 0.04)
+        u = np.arange(64)[None, :] / (1.0 + self.T[:, None])  # one u row per horizon
+        rows = sl.switching_cf(sl.CharFn(model, self.T[:, None], y0=y0), u)
+        assert rows.shape == u.shape
+        for row, t, u_row in zip(rows, self.T, u):
+            scalar = sl.switching_cf(sl.CharFn(model, t, y0=y0), u_row)
+            np.testing.assert_allclose(row, scalar, rtol=0, atol=1e-15)
+        shared = sl.switching_cf(sl.CharFn(model, self.T[:, None], y0=y0), u[0])  # one row for all
+        for row, t in zip(shared, self.T):
+            scalar = sl.switching_cf(sl.CharFn(model, t, y0=y0), u[0])
+            np.testing.assert_allclose(row, scalar, rtol=0, atol=1e-15)
+
+    def test_tuple_column_keeps_the_cf_hashable(self):
+        model = bs_reduced_model(0.04, 0.3)
+        column = tuple((t,) for t in self.T)
+        cf = sl.CharFn(model, column, y0=0.0)
+        assert cf.t == column and hash(cf) == hash(sl.CharFn(model, column, y0=0.0))
+        u = np.arange(8.0)
+        np.testing.assert_array_equal(
+            sl.switching_cf(cf, u), sl.switching_cf(sl.CharFn(model, self.T[:, None], y0=0.0), u)
+        )
+
+    def test_scalar_shapes_unchanged(self):
+        cf = sl.CharFn(bs_reduced_model(0.04, 0.3), 1.0)
+        assert isinstance(sl.switching_cf(cf, 0.5), complex)
+        assert sl.switching_cf(cf, np.zeros((2, 3))).shape == (2, 3)
+        assert sl.switching_cf(sl.CharFn(cf.model, self.T), 0.5).shape == self.T.shape
+
+    @pytest.mark.parametrize("family", list(sl.Family))
+    def test_cumulants_equal_scalar_calls(self, family):
+        model = TestSwitchingCf()._random_model(np.random.default_rng(52))
+        model = sl.SwitchingModel(model.regimes, model.lambda12, model.lambda21, family, 20.0, 0.04)
+        batched = log_return_cumulants(sl.CharFn(model, self.T[:, None], y0=0.2))
+        for c in batched:
+            assert c.shape == (len(self.T), 1)
+        for i, t in enumerate(self.T):
+            scalar = log_return_cumulants(sl.CharFn(model, t, y0=0.2))
+            assert all(isinstance(c, float) for c in scalar)
+            np.testing.assert_allclose([c[i, 0] for c in batched], scalar, rtol=1e-15, atol=0)
+
+    def test_rejects_nonfinite_entries(self):
+        model = bs_reduced_model(0.04, 0.3)
+        with pytest.raises(ValueError, match="finite"):
+            sl.switching_cf(sl.CharFn(model, self.T[:, None]), np.array([0.0, np.nan]))
+        jumpy = sl.SwitchingModel(model.regimes, np.inf, 1.0, model.family, model.s0, model.r)
+        with pytest.raises(ValueError, match="finite"):
+            sl.switching_cf(sl.CharFn(jumpy, 1.0), np.arange(3.0))
+
+    @pytest.mark.parametrize(
+        "t", [0.0, -1.0, np.nan, np.inf, [1.0, 0.0], [[0.5], [-2.0]], [1.0, np.nan], [np.inf, 1.0], []]
+    )
+    def test_rejects_nonpositive_or_nonfinite_horizons(self, t):
+        with pytest.raises(ValueError, match="horizon"):
+            sl.CharFn(bs_reduced_model(0.04, 0.3), t)
 
 
 def _pade_row_sum(a: np.ndarray) -> np.ndarray:

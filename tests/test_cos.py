@@ -416,3 +416,103 @@ class TestGuards:
         cf = sl.CharFn(model, 2.0, y0=math.log(20.0 / 18.0))
         with pytest.raises(ValueError, match="maturity"):
             sl.price_put(cf, sl.ContractSpec(18.0, 1.0, PUT))
+
+
+def _dense_reference(model, contracts, config, jacobian=False):
+    """Per-contract COS prices (or the eight regime-parameter derivatives)
+    from one scalar-horizon CF sweep per contract, the `put_coefficients`
+    matrix and a plain sum: the loop that `price_table` and
+    `price_table_jacobian` batch over maturities."""
+    n = config.n_terms
+    out = []
+    for c in contracts:
+        cf0 = sl.CharFn(model, c.maturity, y0=0.0)
+        a0, b0 = sl.truncation_interval(cf0, config)
+        u = np.arange(n) * np.pi / (b0 - a0)
+        x0 = math.log(model.s0 / c.strike)
+        a, b = (x0 + a0, x0 + b0) if config.interval is None else (a0, b0)
+        if jacobian:
+            f = sl.charfn.expm_row_sum_grad(c.maturity * sl.charfn.phi_matrix_batch(model, u))
+            rows = c.maturity * np.concatenate([
+                f[1 + j] * sl.charfn.regime_char_exponent_grad(p, model.family, u)
+                for j, p in enumerate(model.regimes)
+            ])
+        else:
+            rows = sl.switching_cf(cf0, u)[None]
+        terms = np.real(rows * np.exp(1j * u * (x0 - a)))
+        terms[:, 0] *= 0.5
+        disc = math.exp(-model.r * c.maturity)
+        value = disc * (terms @ sl.put_coefficients(c.strike, a, b, n))
+        if not jacobian and c.kind is CALL:
+            value = value + model.s0 - c.strike * disc
+        out.append(value if jacobian else value[0])
+    return np.array(out)
+
+
+class TestGridSweep:
+    """`price_table` and `price_table_jacobian` price every maturity of a
+    grid in one sweep; they must agree with a per-contract reference and
+    return their rows in input order.
+
+    The sweeps run under np.errstate(all="raise"), which also traps
+    underflow, so each model's CF stays above the smallest normal double
+    over its u grid: Gamma and IG regimes with alpha T below 1 (a slowly
+    decaying CF) and the Gaussian (identity) model at 64 terms."""
+
+    @staticmethod
+    def _model(family):
+        if family is sl.Family.IDENTITY:
+            return bs_reduced_model(0.04, 0.3)
+        r = 0.03
+        regimes = tuple(
+            rn_regime(s, a, b, family, r) for s, a, b in ((0.25, 0.4, 1.5), (0.5, 0.3, 2.5))
+        )
+        return sl.SwitchingModel(regimes, 2.5, 1.0, family, 20.0, r)
+
+    # unsorted, interleaved and repeated maturities, calls and puts mixed
+    GRID = [
+        (20.0, 1.0, CALL), (17.0, 0.25, PUT), (24.0, 2.0, PUT), (20.0, 0.25, CALL),
+        (15.0, 1.0, PUT), (23.0, 1.0, CALL), (20.0, 2.0, CALL), (17.0, 0.25, CALL),
+        (26.0, 0.5, PUT), (20.0, 1.0, PUT),
+    ]
+
+    @pytest.mark.parametrize("family", list(sl.Family))
+    @pytest.mark.parametrize("interval", [None, (-3.0, 3.0)])
+    def test_matches_dense_reference(self, family, interval):
+        model = self._model(family)
+        n_terms = 64 if family is sl.Family.IDENTITY else 256
+        config = sl.CosConfig(n_terms=n_terms, interval=interval)
+        contracts = [sl.ContractSpec(k, t, kind) for k, t, kind in self.GRID]
+        with np.errstate(all="raise"):
+            prices = sl.price_table(model, contracts, config)
+            jac = sl.cos.price_table_jacobian(model, contracts, config)
+        ref = _dense_reference(model, contracts, config)
+        ref_jac = _dense_reference(model, contracts, config, jacobian=True)
+        assert prices.shape == (len(contracts),) and jac.shape == (len(contracts), 8)
+        assert np.all(np.abs(prices - ref) <= 1e-12 * np.abs(ref) + 1e-12)
+        assert np.all(np.abs(jac - ref_jac) <= 1e-12 * np.abs(ref_jac) + 1e-12)
+
+    @pytest.mark.parametrize("interval", [None, (-3.0, 3.0)])
+    def test_one_cf_sweep_per_grid(self, monkeypatch, interval):
+        calls = {"cf": 0, "cumulants": 0}
+        cf_at, cumulants_of = sl.cos.switching_cf, sl.cos.log_return_cumulants
+
+        def counted_cf(cf, u):
+            calls["cf"] += 1
+            return cf_at(cf, u)
+
+        def counted_cumulants(cf):
+            calls["cumulants"] += 1
+            return cumulants_of(cf)
+
+        monkeypatch.setattr(sl.cos, "switching_cf", counted_cf)
+        monkeypatch.setattr(sl.cos, "log_return_cumulants", counted_cumulants)
+        contracts = [sl.ContractSpec(k, t, kind) for k, t, kind in self.GRID]
+        sl.price_table(self._model(sl.Family.GAMMA), contracts, sl.CosConfig(interval=interval))
+        assert calls == {"cf": 1, "cumulants": 1 if interval is None else 0}
+
+    def test_empty_grid(self):
+        model = self._model(sl.Family.GAMMA)
+        for config in (sl.CosConfig(), sl.CosConfig(interval=(-3.0, 3.0))):
+            assert sl.price_table(model, [], config).shape == (0,)
+            assert sl.cos.price_table_jacobian(model, [], config).shape == (0, 8)
