@@ -12,10 +12,11 @@ pricing kernel; `price_put`, `price_call` and `price_contract` wrap it, and
 from __future__ import annotations
 
 import math
+import numbers
 import warnings
 from dataclasses import dataclass
 from enum import Enum
-from typing import NamedTuple, Sequence
+from typing import Sequence
 
 import numpy as np
 from scipy.linalg import expm
@@ -56,19 +57,23 @@ class ContractSpec:
 
 @dataclass(frozen=True)
 class CosConfig:
-    """Series length, optional fixed interval, and cumulant scale L."""
+    """Series length, optional fixed interval, and cumulant scale L.
+
+    A user interval [a, b] is in log-moneyness log(S_T/K), is shared by
+    every strike and has finite endpoints with a < 0 < b.
+    """
 
     n_terms: int = 512
     interval: tuple[float, float] | None = None
     cumulant_scale: float = 10.0
 
     def __post_init__(self) -> None:
-        if self.n_terms < 16:
-            raise ValueError("n_terms must be >= 16")
+        if not (isinstance(self.n_terms, numbers.Integral) and self.n_terms >= 16):
+            raise ValueError(f"n_terms must be an integer >= 16, got {self.n_terms!r}")
         if self.interval is not None:
             a, b = self.interval
-            if not (a < 0.0 < b):
-                raise ValueError(f"interval must satisfy a < 0 < b, got [{a}, {b}]")
+            if not (-math.inf < a < 0.0 < b < math.inf):
+                raise ValueError(f"interval must be finite with a < 0 < b, got [{a}, {b}]")
         if not self.cumulant_scale > 0:
             raise ValueError("cumulant_scale must be > 0")
 
@@ -179,6 +184,8 @@ def price_put(cf: CharFn, contract: ContractSpec, config: CosConfig = CosConfig(
     """
     model = cf.model
     expected_y0 = math.log(model.s0 / contract.strike)
+    if np.ndim(cf.t):
+        raise ValueError(f"cf horizon must be one maturity, got {np.ravel(cf.t).tolist()}")
     if abs(cf.t - contract.maturity) > 1e-12 * max(1.0, contract.maturity):
         raise ValueError(f"cf horizon {cf.t} != contract maturity {contract.maturity}")
     if abs(cf.y0 - expected_y0) > 1e-9:
@@ -233,6 +240,28 @@ def _powers(theta, n_terms: int) -> np.ndarray:
     return (high[..., :, None] * low[..., None, :]).reshape(*high.shape[:-1], -1)[..., :n_terms]
 
 
+def _power_sums(theta, rows: np.ndarray, counts: Sequence[int]) -> np.ndarray:
+    """Sum_k rows[g, ..., k] e^{ik theta_i} for each angle theta_i of group g,
+    the angles taken in groups of consecutive entries, counts[g] in group g.
+
+    rows has shape (G, ..., n); with the `_split_powers` factors the sums
+    take one (angles, R) @ (R, rows M) product per group and one contraction
+    with the high factor. Returns shape (len(theta), rows per group), complex.
+    """
+    groups, n = len(rows), rows.shape[-1]
+    high, low = _split_powers(theta, n)
+    m_len, r_len = high.shape[-1], low.shape[-1]
+    padded = np.zeros(rows.shape[:-1] + (m_len * r_len,), dtype=rows.dtype)
+    padded[..., :n] = rows
+    table = padded.reshape(groups, -1, m_len, r_len).transpose(0, 3, 1, 2).reshape(groups, r_len, -1)
+    inner = np.empty((len(low), table.shape[-1]), dtype=complex)
+    stop = 0
+    for group, count in zip(table, counts):
+        np.matmul(low[stop : stop + count], group, out=inner[stop : stop + count])
+        stop += count
+    return (inner.reshape(len(low), -1, m_len) @ high[:, :, None])[..., 0]
+
+
 def _payoff_sums(terms: np.ndarray, strikes: np.ndarray, a, b, width, counts=None) -> np.ndarray:
     """Sum_k terms_k V_k of every strike, with V = put_coefficients(strikes,
     a, b, n) and b - a = width, without forming V.
@@ -245,56 +274,35 @@ def _payoff_sums(terms: np.ndarray, strikes: np.ndarray, a, b, width, counts=Non
         - e^d Re Sum_k z_k terms_k / (1 + omega_k^2) + e^a Sum_k terms_k / (1 + omega_k^2),
     three real weight rows per term row. The sine weight 1/omega - e^d
     omega/(1 + omega^2) of the closed form is split as above so that its two
-    O(1/omega) parts do not cancel when b > 0 (d = 0). The z_k come from
-    `_split_powers` at theta = pi s / width, so the sums take one
-    (angles, R) @ (R, rows) product per group of angles that shares its
-    weight rows, and 2 sqrt(n) exponentials per angle.
+    O(1/omega) parts do not cancel when b > 0 (d = 0). The z_k sums go
+    through `_power_sums` at theta = pi s / width.
 
-    Three layouts, each of K strikes:
-    - each strike has its own interval (a, b of shape (K,)) and all share
-      the term rows, shape (J, n), and the width;
-    - as above for G groups of consecutive strikes, `counts` of them each:
-      group g has its own term rows terms[g] and width width[g] (terms of
-      shape (G, J, n), width of shape (G,) or (G, 1));
-    - all share the interval (scalar a, b and width) and each strike has
-      its own term rows, shape (K, J, n): one angle against K J rows.
-    Returns shape (K, J).
+    The K strikes come in G groups of consecutive strikes, counts[g] in
+    group g (K/G each by default). Group g has its own term rows terms[g]
+    and width width[g]: terms of shape (G, J, n), or (J, n) for G = 1, and
+    width of shape (G,) or (G, 1), or a scalar. Every strike has its own
+    interval: a and b of shape (K,), or scalars. Returns shape (K, J).
     """
     n = terms.shape[-1]
     if terms.ndim == 2:
         terms = terms[None]
+    groups = len(terms)
+    if counts is None:
+        counts = [len(strikes) // groups] * groups
     width = np.asarray(width, dtype=float).reshape(-1, 1)
-    if np.asarray(a).ndim == 0:
-        counts = [1]  # one angle for all rows
-    elif counts is None:
-        counts = [len(strikes)]
-
-    def per_strike(x):  # a row per group, or per strike, to a row per strike
-        return x if len(counts) == 1 else x.repeat(counts, axis=0)
-
+    widths = width.repeat(counts if len(width) > 1 else len(strikes), axis=0)  # a row per strike
     d = np.minimum(0.0, b)
     span = np.maximum(d - a, 0.0)
-    widths = per_strike(width)
-    high, low = _split_powers(np.pi * span / widths[:, 0], n)
-    m_len, r_len = high.shape[-1], low.shape[-1]
     om = np.arange(n) * (np.pi / width)
     lorentz = 1.0 / (1.0 + om * om)
     scales = np.zeros((len(width), 3, n))  # the three weight rows per term row
     np.divide(lorentz, om, out=scales[:, 0], where=om > 0.0)
     np.multiply(om, lorentz, out=scales[:, 1])
     scales[:, 2] = lorentz
-    weights = np.zeros(terms.shape[:1] + (3,) + terms.shape[1:-1] + (m_len * r_len,))
-    np.multiply(terms[:, None], scales[:, :, None], out=weights[..., :n])
-    groups = len(width)
-    table = weights.reshape(groups, -1, m_len, r_len).transpose(0, 3, 1, 2).reshape(groups, r_len, -1)
-    inner = np.empty((len(low), table.shape[-1]), dtype=complex)
-    stop = 0
-    for group, count in zip(table, counts):
-        np.matmul(low[stop : stop + count], group, out=inner[stop : stop + count])
-        stop += count
-    sums = (inner.reshape(len(low), -1, m_len) @ high[:, :, None]).reshape(len(strikes), 3, -1)
-    first = per_strike(terms[..., 0])
-    lorentz_sums = per_strike((terms @ lorentz[:, :, None])[..., 0])
+    sums = _power_sums(np.pi * span / widths[:, 0], terms[:, None] * scales[:, :, None], counts)
+    sums = sums.reshape(len(strikes), 3, -1)
+    first = terms[..., 0].repeat(counts, axis=0)
+    lorentz_sums = (terms @ lorentz[:, :, None])[..., 0].repeat(counts, axis=0)
     d, span, a = (np.asarray(x).reshape(-1, 1) for x in (d, span, a))
     total = (
         first * span
@@ -306,41 +314,28 @@ def _payoff_sums(terms: np.ndarray, strikes: np.ndarray, a, b, width, counts=Non
     return np.where(span > 0.0, (2.0 * strikes[:, None] / widths) * total, 0.0)
 
 
-class _Grid(NamedTuple):
-    """The pieces of a grid's cosine sums shared by `price_table` and
-    `price_table_jacobian`; see `_grid_setup`."""
+def _grid_sums(model: SwitchingModel, contracts: Sequence[ContractSpec], config: CosConfig, cf_rows):
+    """Discounted cosine sums of a grid, for both `price_table` and
+    `price_table_jacobian`, with one sweep over all maturities.
 
-    order: list[int]
-    counts: list[int]
-    strikes: np.ndarray
-    disc: np.ndarray
-    base: CharFn
-    u: np.ndarray
-    rotation: np.ndarray
-    sweep_rows: slice | np.ndarray
-    interval: tuple
+    The contracts are taken in `_by_maturity` groups. cf_rows(base, u)
+    gives J rows (the CF or its derivatives) per maturity, shape (M, J, n),
+    of the y0 = 0 CF `base` whose M maturities form an (M, 1) column of
+    horizons (nested tuples, so the CF stays hashable). Returns the input
+    positions of the grouped contracts and, in that order, the strikes, the
+    discount factors and the discounted sums, shape (K, J).
 
-
-def _grid_setup(model: SwitchingModel, contracts: Sequence[ContractSpec], config: CosConfig) -> _Grid:
-    """Set up the cosine sums of every maturity of a grid at once.
-
-    The contracts are taken in maturity groups, in `_by_maturity` order:
-    `order` holds their input positions, `counts` the group sizes, and
-    `strikes`, the discount factors `disc` and the interval follow the
-    grouped order. `base` is the y0 = 0 CF with the M maturities as an
-    (M, 1) column of horizons (nested tuples, so the CF stays hashable),
-    and one `switching_cf` call on the u grid sweeps all of them.
-
-    The strike enters only through the log-moneyness x0 = log(s0/K). With
-    the automatic interval, maturity m has the cumulant interval
-    [a0_m, b0_m] of the y0 = 0 CF, shifted by x0 per strike: a and b have
-    one entry per contract, the width W_m and the u row u[m, k] = k pi / W_m
-    one per maturity (shape (M, 1) and (M, n_terms)), and the phase
-    u (x0 - a) = -u a0_m is shared by a maturity's strikes, so the factor
-    exp(i u phase) has one row per maturity. With a user interval every
-    contract shares [a, b], the width and one u row, and each contract gets
-    its own phase row from `_powers`. Either way `sweep_rows` picks, for
-    each phase row, the maturity row of the CF sweep that it multiplies.
+    A contract's sum is Sum_k Re(rows_k e^{i u_k (x0 - a)}) V_k with
+    x0 = log(s0/K), the first term halved. One factor is shared by a
+    maturity's strikes and the other varies by strike, so no table with a
+    row per contract is formed:
+    - automatic interval: maturity m has the cumulant interval [a0, b0] of
+      `base`, shifted by x0 per strike. The width W, the u row k pi / W and
+      the phase u (x0 - a) = -u a0 are the maturity's, and `_payoff_sums`
+      takes each strike's own [a, b].
+    - user interval: every strike shares [a, b] and one u row, so V_k = K v_k
+      with v the strike-one payoff row, and the sum is
+      K Re Sum_k (rows_k v_k) e^{ik theta} at theta = pi (x0 - a) / W.
     """
     by_t = _by_maturity(contracts)
     order = [i for idx in by_t.values() for i in idx]
@@ -350,16 +345,22 @@ def _grid_setup(model: SwitchingModel, contracts: Sequence[ContractSpec], config
     disc = np.array([math.exp(-model.r * t) for t in by_t]).repeat(counts)
     base = CharFn(model, tuple((t,) for t in by_t), y0=0.0)
     a0, b0 = truncation_interval(base, config)
-    width = b0 - a0
-    u = np.arange(config.n_terms) * np.pi / width
+    width, n = b0 - a0, config.n_terms
+    u = np.arange(n) * np.pi / width
+    rows = cf_rows(base, u)
+    phase = _powers(np.pi * -a0 / width, n)  # e^{-i u a0}
     if config.interval is None:
-        a, b = x0 + a0.repeat(counts), x0 + b0.repeat(counts)
-        theta, sweep_rows = np.pi * -a0[:, 0] / width[:, 0], slice(None)
-    else:
-        a, b, theta = a0, b0, np.pi * (x0 - a0) / width
-        sweep_rows = np.arange(len(counts)).repeat(counts)
-    rotation = _powers(theta, config.n_terms)
-    return _Grid(order, counts, strikes, disc, base, u, rotation, sweep_rows, (a, b, width))
+        terms = np.real(rows * phase)
+        terms[..., 0] *= 0.5
+        sums = _payoff_sums(terms, strikes, x0 + a0.repeat(counts), x0 + b0.repeat(counts), width, counts)
+    else:  # W v / 2 from the closed form of `_payoff_sums` at d = min(0, b) = 0, where z = phase
+        lorentz = 1.0 / (1.0 + u * u)
+        v = np.zeros(n)
+        np.divide(phase.imag * lorentz, u, out=v, where=u > 0.0)
+        v += (math.exp(a0) - phase.real) * lorentz
+        v[0] = 0.5 * (v[0] - a0)
+        sums = (2.0 * strikes[:, None] / width) * _power_sums(np.pi * (x0 - a0) / width, rows * v, counts).real
+    return order, strikes, disc, disc[:, None] * sums
 
 
 def price_table(
@@ -367,26 +368,15 @@ def price_table(
     contracts: Sequence[ContractSpec],
     config: CosConfig = CosConfig(),
 ) -> np.ndarray:
-    """COS prices of a grid of contracts, with one CF sweep over all
-    maturities.
-
-    The CF is evaluated once at y0 = 0, on one u row per maturity (see
-    `_grid_setup` for how strikes and the interval enter). All contracts
-    are summed at once by `_payoff_sums`, which folds the closed-form
-    payoff coefficients into the terms without forming a (K, n_terms)
-    matrix. Prices come back in the order of `contracts`.
-    """
+    """COS prices of a grid of contracts, in the order of `contracts`, from
+    one CF sweep over all maturities at y0 = 0 summed by `_grid_sums`."""
     prices = np.empty(len(contracts))
     if not len(contracts):
         return prices
-    grid = _grid_setup(model, contracts, config)
-    terms = np.real(switching_cf(grid.base, grid.u)[grid.sweep_rows] * grid.rotation)
-    terms[..., 0] *= 0.5
-    strikes, disc = grid.strikes, grid.disc
-    raw = disc * _payoff_sums(terms[:, None, :], strikes, *grid.interval, grid.counts)[:, 0]
-    puts = _guard_put_sums(raw, strikes)
-    is_call = np.array([contracts[i].kind is OptionKind.CALL for i in grid.order])
-    prices[grid.order] = np.where(is_call, puts + model.s0 - strikes * disc, puts)
+    order, strikes, disc, sums = _grid_sums(model, contracts, config, lambda cf, u: switching_cf(cf, u)[:, None, :])
+    puts = _guard_put_sums(sums[:, 0], strikes)
+    is_call = np.array([contracts[i].kind is OptionKind.CALL for i in order])
+    prices[order] = np.where(is_call, puts + model.s0 - strikes * disc, puts)
     return prices
 
 
@@ -401,21 +391,22 @@ def price_table_jacobian(
     A parameter of regime j enters Phi(u) only through its diagonal entry
     Psi_j, so d phi/d theta = t (df/da_jj) dPsi_j/dtheta with f the row sum
     of exp(t Phi(u)); the eight derivative rows of every maturity go
-    through the same `_grid_setup` phase and `_payoff_sums` as the prices,
-    with the truncation interval held at its value at the model. Calls and
-    puts share their sensitivities (put-call parity).
+    through the same `_grid_sums` as the prices, with the truncation
+    interval held at its value at the model. Calls and puts share their
+    sensitivities (put-call parity).
     """
     jac = np.empty((len(contracts), 8))
     if not len(contracts):
         return jac
-    grid = _grid_setup(model, contracts, config)
-    t, u = np.array(grid.base.t), grid.u
-    _, df_da11, df_da22 = _row_sum_grad(*_phi_entries(model, t, u))
-    grad1, grad2 = (np.moveaxis(regime_char_exponent_grad(p, model.family, u), 0, -2) for p in model.regimes)
-    dphi = t[..., None] * np.concatenate([df_da11[:, None] * grad1, df_da22[:, None] * grad2], axis=1)
-    terms = np.real(dphi[grid.sweep_rows] * grid.rotation[:, None, :])  # (M or K, 8, n)
-    terms[..., 0] *= 0.5
-    jac[grid.order] = grid.disc[:, None] * _payoff_sums(terms, grid.strikes, *grid.interval, grid.counts)
+
+    def derivative_rows(base, u):
+        t = np.array(base.t)
+        _, df_da11, df_da22 = _row_sum_grad(*_phi_entries(model, t, u))
+        grad1, grad2 = (np.moveaxis(regime_char_exponent_grad(p, model.family, u), 0, -2) for p in model.regimes)
+        return t[..., None] * np.concatenate([df_da11[:, None] * grad1, df_da22[:, None] * grad2], axis=1)
+
+    order, _, _, sums = _grid_sums(model, contracts, config, derivative_rows)
+    jac[order] = sums
     return jac
 
 

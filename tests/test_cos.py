@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -405,6 +406,28 @@ class TestGuards:
         with pytest.raises(ValueError):
             sl.ContractSpec(-1.0, 1.0, CALL)
 
+    @pytest.mark.parametrize(
+        "kwargs",
+        [{"interval": (-3.0, math.inf)}, {"interval": (-math.inf, 3.0)}, {"interval": (math.nan, 3.0)},
+         {"n_terms": 20.5}, {"n_terms": 64.0}],
+    )
+    def test_config_rejects_what_it_cannot_price(self, kwargs):
+        """An infinite endpoint passes a < 0 < b but gives a wrong price
+        (or NaN), and a fractional n_terms fails only inside the pricer."""
+        with pytest.raises(ValueError):
+            sl.CosConfig(**kwargs)
+
+    def test_integer_types_accepted(self):
+        assert sl.CosConfig(n_terms=np.int64(64)).n_terms == 64
+
+    @pytest.mark.parametrize("price", [sl.price_put, sl.price_call])
+    @pytest.mark.parametrize("horizons", [((1.0,), (2.0,)), np.array([[1.0], [2.0]])])
+    def test_multi_horizon_cf_rejected(self, price, horizons):
+        model = bs_reduced_model(0.04, 0.5)
+        cf = sl.CharFn(model, horizons, y0=math.log(20.0 / 18.0))
+        with pytest.raises(ValueError, match="horizon"):
+            price(cf, sl.ContractSpec(18.0, 1.0, PUT))
+
     def test_wrong_centering_rejected(self):
         model = bs_reduced_model(0.04, 0.5)
         cf = sl.CharFn(model, 1.0)  # y0 = log(s0), not log-moneyness
@@ -491,6 +514,44 @@ class TestGridSweep:
         assert prices.shape == (len(contracts),) and jac.shape == (len(contracts), 8)
         assert np.all(np.abs(prices - ref) <= 1e-12 * np.abs(ref) + 1e-12)
         assert np.all(np.abs(jac - ref_jac) <= 1e-12 * np.abs(ref_jac) + 1e-12)
+
+    # 200 strikes from S0 e^-1.5 to S0 e^1.5 at T = 1, calls and puts alternating
+    STRIP = [
+        sl.ContractSpec(float(k), 1.0, (CALL, PUT)[i % 2])
+        for i, k in enumerate(20.0 * np.exp(np.linspace(-1.5, 1.5, 200)))
+    ]
+
+    @pytest.mark.parametrize("family", list(sl.Family))
+    @pytest.mark.parametrize("interval", [None, (-3.0, 3.0)])
+    def test_strip_matches_dense_reference(self, family, interval):
+        model = self._model(family)
+        n_terms = 64 if family is sl.Family.IDENTITY else 256
+        config = sl.CosConfig(n_terms=n_terms, interval=interval)
+        with np.errstate(all="raise"):
+            prices = sl.price_table(model, self.STRIP, config)
+            jac = sl.cos.price_table_jacobian(model, self.STRIP, config)
+        ref = _dense_reference(model, self.STRIP, config)
+        ref_jac = _dense_reference(model, self.STRIP, config, jacobian=True)
+        assert np.all(np.abs(prices - ref) <= 1e-12 * np.abs(ref) + 1e-12)
+        assert np.all(np.abs(jac - ref_jac) <= 1e-12 * np.abs(ref_jac) + 1e-12)
+
+    @pytest.mark.parametrize("family", list(sl.Family))
+    @pytest.mark.parametrize("interval", [None, (-3.0, 3.0)])
+    def test_strip_forms_no_per_contract_table(self, family, interval):
+        """The traced peak of a strip's prices (J = 1 row per maturity) and
+        of its Jacobian (J = 8) stays below one float64 (K, J, n_terms)
+        array, a table with a row per contract."""
+        model, config = self._model(family), sl.CosConfig(interval=interval)
+        n_terms = config.n_terms
+        for pricer, n_rows in ((sl.price_table, 1), (sl.cos.price_table_jacobian, 8)):
+            pricer(model, self.STRIP, config)  # warm up
+            tracemalloc.start()
+            try:
+                pricer(model, self.STRIP, config)
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+            assert peak < 8 * len(self.STRIP) * n_rows * n_terms
 
     @pytest.mark.parametrize("interval", [None, (-3.0, 3.0)])
     def test_one_cf_sweep_per_grid(self, monkeypatch, interval):
