@@ -40,7 +40,14 @@ from dataclasses import dataclass
 import numpy as np
 
 from .regime import Family, RegimeParams, SwitchingModel
-from .subordinators import laplace_exponent, laplace_exponent_derivatives, real_domain_sup, spec_for
+from .subordinators import (
+    _gamma_log,
+    _ig_root,
+    laplace_exponent,
+    laplace_exponent_derivatives,
+    real_domain_sup,
+    spec_for,
+)
 
 # [6/6] Pade coefficients of exp(x): c_j = (12-j)! 6! / (12! (6-j)! j!)
 _PADE_M = 6
@@ -68,21 +75,22 @@ def regime_char_exponent_grad(params: RegimeParams, family: Family, u) -> np.nda
     d/dmu = ell'(s) i u and d/dsigma = -ell'(s) sigma u^2; ell is linear
     in alpha, so d/dalpha = ell/alpha; d/dbeta is -alpha s/(beta(beta - s))
     for Gamma and -alpha(beta/sqrt(beta^2 - 2s) - 1) for IG. The identity
-    clock has no alpha or beta.
+    clock has no alpha or beta. The log (Gamma) or the root (IG) is taken
+    once, by the real-arithmetic helpers of `laplace_exponent`, with its
+    branch check.
     """
     u = np.asarray(u, dtype=complex)
     s = 1j * params.mu * u - 0.5 * params.sigma**2 * u * u
-    ell = np.asarray(laplace_exponent(spec_for(params, family), s))
-    a, b = params.alpha, params.beta
+    spec, a, b = spec_for(params, family), params.alpha, params.beta
     if family is Family.IDENTITY:
         slope, d_alpha, d_beta = np.ones_like(s), np.zeros_like(s), np.zeros_like(s)
     elif family is Family.GAMMA:
         slope = a / (b - s)
-        d_alpha, d_beta = ell / a, -s * slope / b
+        d_alpha, d_beta = -_gamma_log(spec, s), -s * slope / b
     else:
-        root = np.sqrt(b * b - 2.0 * s)
+        root = _ig_root(spec, s)
         slope = a / root
-        d_alpha, d_beta = ell / a, -a * (b / root - 1.0)
+        d_alpha, d_beta = b - root, -a * (b / root - 1.0)
     return np.stack([1j * u * slope, -params.sigma * u * u * slope, d_alpha, d_beta])
 
 

@@ -223,19 +223,32 @@ def _split_powers(theta, n_terms: int) -> tuple[np.ndarray, np.ndarray]:
     """The powers e^{ik theta}, k < n_terms, as two short factor tables.
 
     With R = ceil(sqrt(n_terms)) and k = R m + r (0 <= r < R),
-    e^{ik theta} = e^{iRm theta} e^{ir theta}, so an angle costs about
-    2 sqrt(n_terms) complex exponentials instead of n_terms. For theta of
-    shape S the factors have shapes S + (M,) and S + (R,), M = ceil(n_terms/R).
+    e^{ik theta} = e^{iRm theta} e^{ir theta}. An angle costs one complex
+    exponential, e^{i theta}: the low factors e^{ir theta} are its running
+    products, and the high factors e^{iRm theta} the running products of
+    e^{iR theta} = e^{i(R-1) theta} e^{i theta}. A power then carries a
+    rounding error of O(k eps) whatever the size of theta, where
+    e^{ik theta} taken directly carries the O(k |theta| eps) error of the
+    rounded argument. For theta of shape S the factors have shapes S + (M,)
+    and S + (R,), M = ceil(n_terms/R).
     """
     r_len = math.isqrt(n_terms - 1) + 1
-    theta = np.asarray(theta, dtype=float)[..., None]
-    high = np.exp(1j * r_len * np.arange(-(-n_terms // r_len)) * theta)
-    return high, np.exp(1j * np.arange(r_len) * theta)
+    step = np.exp(1j * np.asarray(theta, dtype=float))
+    low = _running_powers(step, r_len)
+    return _running_powers(low[..., -1] * step, -(-n_terms // r_len)), low
+
+
+def _running_powers(step: np.ndarray, length: int) -> np.ndarray:
+    """step^j for j < length by running products, shape step.shape + (length,)."""
+    out = np.empty(step.shape + (length,), dtype=complex)
+    out[..., 0] = 1.0
+    out[..., 1:] = step[..., None]
+    return np.multiply.accumulate(out, axis=-1, out=out)
 
 
 def _powers(theta, n_terms: int) -> np.ndarray:
     """e^{ik theta} for k < n_terms, shape S + (n_terms,), as products of
-    the `_split_powers` factors."""
+    the `_split_powers` factors (running products of e^{i theta})."""
     high, low = _split_powers(theta, n_terms)
     return (high[..., :, None] * low[..., None, :]).reshape(*high.shape[:-1], -1)[..., :n_terms]
 

@@ -50,22 +50,52 @@ def laplace_exponent(spec: SubordinatorSpec, s):
     """ell(s) with E[exp(s L_t)] = exp(t ell(s)); s scalar or array.
 
     Domain: Gamma requires Re(1 - s/beta) > 0, IG requires
-    Re(beta^2 - 2 s) > 0. ell(0) = 0 for every family.
+    Re(beta^2 - 2 s) > 0. ell(0) = 0 for every family. The logarithm
+    (`_gamma_log`) and the square root (`_ig_root`) are taken in real
+    arithmetic, with no complex log or sqrt per point.
     """
     s = np.asarray(s, dtype=complex)
     if spec.family is Family.IDENTITY:
         out = s
     elif spec.family is Family.GAMMA:
-        arg = 1.0 - s / spec.beta
-        _check_branch(arg, spec, s)
-        out = -spec.alpha * np.log(arg)
+        out = -spec.alpha * _gamma_log(spec, s)
     elif spec.family is Family.INVERSE_GAUSSIAN:
-        arg = spec.beta**2 - 2.0 * s
-        _check_branch(arg, spec, s)
-        out = -spec.alpha * (np.sqrt(arg) - spec.beta)
+        out = -spec.alpha * (_ig_root(spec, s) - spec.beta)
     else:  # pragma: no cover
         raise ValueError(f"unknown family {spec.family}")
     return complex(out) if out.ndim == 0 else out
+
+
+def _gamma_log(spec: SubordinatorSpec, s: np.ndarray) -> np.ndarray:
+    """Principal log(1 - s/beta) of a complex array s, checked against the cut.
+
+    With p + iq = -s/beta, log|1 + p + iq| = log1p(p(2 + p) + q^2)/2, which
+    keeps its digits as |1 - s/beta| -> 1, and the angle is atan2(q, 1 + p).
+    """
+    ratio = s / spec.beta
+    x = 1.0 - ratio.real  # = 1 + p
+    _check_branch(x, spec, s)
+    p, q = -ratio.real, -ratio.imag
+    out = np.empty(s.shape, dtype=complex)
+    out.real = 0.5 * np.log1p(p * (2.0 + p) + q * q)
+    out.imag = np.arctan2(q, x)
+    return out
+
+
+def _ig_root(spec: SubordinatorSpec, s: np.ndarray) -> np.ndarray:
+    """Principal sqrt(beta^2 - 2s) of a complex array s, checked against the cut.
+
+    With z = x + iy = beta^2 - 2s and x > 0 (the branch check), the root is
+    sqrt((|z| + x)/2) + i y / (2 sqrt((|z| + x)/2)), free of cancellation;
+    a real s gives sqrt(x) exactly.
+    """
+    arg = spec.beta**2 - 2.0 * s
+    _check_branch(arg, spec, s)
+    x, y = arg.real, arg.imag
+    out = np.empty(s.shape, dtype=complex)
+    out.real = np.sqrt(0.5 * (np.hypot(x, y) + x))
+    out.imag = y / (2.0 * out.real)
+    return out
 
 
 def _check_branch(arg, spec: SubordinatorSpec, s) -> None:

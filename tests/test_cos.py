@@ -190,6 +190,23 @@ class TestPayoffSums:
         np.testing.assert_allclose(_powers(theta, n_terms), np.exp(1j * theta[:, None] * k), rtol=0, atol=1e-12)
         np.testing.assert_allclose(_powers(0.3, n_terms), np.exp(0.3j * k), rtol=0, atol=1e-12)
 
+    @pytest.mark.skipif(np.finfo(np.longdouble).eps >= 1e-16, reason="needs an extended long double")
+    @pytest.mark.parametrize("n_terms", [16, 17, 100, 512, 4096])
+    @pytest.mark.parametrize("span", [(0.0, math.pi), (-40.0, 40.0)])
+    def test_powers_against_long_double(self, n_terms, span):
+        """The running products of e^{i theta} against a long-double
+        e^{ik theta}: no larger an error than the exponentials e^{ik theta}
+        taken directly (their argument k theta is rounded) on the same
+        angles, with a floor of 1e-14. |theta| <= 40 covers the angles
+        pi (x0 - a) / (b - a) of a user interval."""
+        rng = np.random.default_rng([n_terms, int(span[1])])
+        theta = np.concatenate([span, rng.uniform(*span, 200)])
+        k = np.arange(n_terms)
+        angle = theta.astype(np.longdouble)[:, None] * k
+        exact = np.cos(angle) + 1j * np.sin(angle)
+        direct = np.abs(np.exp(1j * theta[:, None] * k) - exact).max()
+        assert np.abs(_powers(theta, n_terms) - exact).max() <= max(direct, 1e-14)
+
     def test_pricing_does_not_form_coefficients(self, monkeypatch):
         def fail(*args):
             raise AssertionError("put_coefficients called")

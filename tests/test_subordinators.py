@@ -1,3 +1,4 @@
+import re
 import sys
 import threading
 from types import SimpleNamespace
@@ -64,6 +65,68 @@ class TestLaplaceExponent:
             arg = 1j * 0.5 * u - 0.5 * 4.0 * u**2
             vals = sl.laplace_exponent(spec, arg)
             assert np.all(np.isfinite(vals))
+
+    @staticmethod
+    def _cf_arguments(rng):
+        """A random model's s = i mu u - sigma^2 u^2 / 2 at |u| from 1e-8 to
+        1e4, where |1 - s/beta| -> 1 at the small end."""
+        alpha, beta = rng.uniform(0.1, 20.0, 2)
+        mu, sigma = rng.uniform(-1.0, 1.0), rng.uniform(0.05, 1.0)
+        u = 10.0 ** rng.uniform(-8.0, 4.0, 2000) * rng.choice([-1.0, 1.0], 2000)
+        return alpha, beta, 1j * mu * u - 0.5 * sigma**2 * u * u
+
+    def test_gamma_real_arithmetic_matches_complex_log(self):
+        """-alpha log(1 - s/beta) in real arithmetic against the complex log.
+
+        The complex form rounds 1 - s/beta to a double before its log, which
+        costs it up to alpha eps absolute, about 1e-7 relative at |u| = 1e-8;
+        there the reference is the series of log(1 + w), w = -s/beta. Both
+        agree to 1e-14 relative."""
+        rng = np.random.default_rng(44)
+        eps = np.finfo(float).eps
+        for _ in range(50):
+            alpha, beta, s = self._cf_arguments(rng)
+            ell = sl.laplace_exponent(_spec(GAMMA, alpha, beta), s)
+            complex_form = -alpha * np.log(1.0 - s / beta)
+            assert np.all(np.abs(ell - complex_form) <= 1e-14 * np.abs(complex_form) + alpha * eps)
+            w = -s / beta
+            small = np.abs(w) < 0.1
+            reference = complex_form.copy()
+            reference[small] = -alpha * sum((-1.0) ** (j + 1) * w[small] ** j / j for j in range(24, 0, -1))
+            assert np.all(np.abs(ell - reference) <= 1e-14 * np.abs(reference))
+
+    def test_ig_real_arithmetic_matches_complex_root(self):
+        """-alpha (sqrt(beta^2 - 2s) - beta) in real arithmetic against the
+        complex root to 1e-14 relative, and bit for bit for a real s (the
+        martingale drift and the IG fits)."""
+        rng = np.random.default_rng(45)
+        for _ in range(50):
+            alpha, beta, s = self._cf_arguments(rng)
+            ell = sl.laplace_exponent(_spec(IG, alpha, beta), s)
+            complex_form = -alpha * (np.sqrt(beta * beta - 2.0 * s) - beta)
+            assert np.all(np.abs(ell - complex_form) <= 1e-14 * np.abs(complex_form))
+            real_s = rng.uniform(-50.0, 0.5 * beta * beta, 200)
+            ell = sl.laplace_exponent(_spec(IG, alpha, beta), real_s)
+            complex_form = -alpha * (np.sqrt(beta * beta - 2.0 * real_s.astype(complex)) - beta)
+            assert ell.tobytes() == complex_form.tobytes()
+
+    @pytest.mark.parametrize("family", [GAMMA, IG])
+    def test_scalar_type_and_branch_points(self, family):
+        """A 0-d s gives a Python complex, and BranchCutError names the first
+        s whose complex argument (1 - s/beta or beta^2 - 2s) has real part <= 0."""
+        spec = _spec(family, 0.7, 2.0)
+        assert type(sl.laplace_exponent(spec, 0.3 - 0.2j)) is complex
+        assert type(sl.laplace_exponent(spec, np.float64(0.3))) is complex
+        edge = spec.beta if family is GAMMA else 0.5 * spec.beta**2
+        s = edge * (1.0 + np.array([-4.0, -2.0, -1.0, 0.0, 1.0]) * np.finfo(float).eps) + 1j
+        arg = 1.0 - s / spec.beta if family is GAMMA else spec.beta**2 - 2.0 * s
+        for stop in range(1, len(s) + 1):
+            bad = arg[:stop].real <= 0
+            if not bad.any():
+                assert np.all(np.isfinite(sl.laplace_exponent(spec, s[:stop])))
+                continue
+            with pytest.raises(sl.BranchCutError, match=re.escape(f"s={s[:stop][bad][0]} ")):
+                sl.laplace_exponent(spec, s[:stop])
 
 
 class TestSampling:
