@@ -20,7 +20,7 @@ import numpy as np
 
 from .cos import ContractSpec, CosConfig, OptionKind, price_table, price_table_jacobian
 from .estimation import ParamBounds
-from .mc import FrozenTerminalSampler
+from .mc import FrozenTerminalSampler, option_payoff
 from .regime import Family, RegimeParams, SwitchingModel
 
 
@@ -65,10 +65,7 @@ class QuoteTable:
 
 @dataclass(frozen=True)
 class CalibConfig:
-    """Solver settings. fd_rel_step is the relative alpha step of the one
-    forward difference left in the Jacobian, the alpha derivative of the
-    Monte Carlo rows under a Gamma clock (gammaincinv has no derivative in
-    scipy); every other derivative is exact."""
+    """Solver settings."""
 
     step_tolerance: float = 1e-10
     max_iters: int = 1000
@@ -76,7 +73,6 @@ class CalibConfig:
     otm_put_moneyness: float = 0.95
     mc_paths: int = 20_000
     mc_seed: int = 0
-    fd_rel_step: float = 1e-6
     cos: CosConfig = field(default_factory=CosConfig)
 
     def __post_init__(self) -> None:
@@ -167,19 +163,15 @@ class _ObjectiveState:
                 ) from exc
         terminal = self._terminal_prices(theta1, theta2)
         for row in self.mc_rows:
-            s_t = terminal[row.maturity]
-            if row.kind is OptionKind.CALL:
-                payoff = np.maximum(s_t - row.strike, 0.0)
-            else:
-                payoff = np.maximum(row.strike - s_t, 0.0)
+            payoff, _ = option_payoff(terminal[row.maturity], row.strike, row.kind)
             prices.append(math.exp(-self.ctx.r * row.maturity) * float(payoff.mean()))
         return (np.array(prices) - self.mids) / math.sqrt(self.mids.size)
 
     def jacobian(self, theta1: RegimeParams, theta2: RegimeParams) -> np.ndarray:
         """d residuals / d(theta1, theta2), shape (n, 8): the cosine rows
         from `price_table_jacobian`, the Monte Carlo rows pathwise, where a
-        path adds disc 1{S_T > K} S_T dZ_T/dtheta to a call's mean and
-        -disc 1{S_T < K} S_T dZ_T/dtheta to a put's."""
+        path adds disc times its payoff weight (`option_payoff`) times
+        dZ_T/dtheta to the row's mean."""
         jac = np.empty((self.mids.size, 8))
         n_cos = len(self.cos_rows)
         if self.cos_rows:
@@ -189,17 +181,11 @@ class _ObjectiveState:
         for maturity, sampler in self.samplers.items():
             s_t = terminal[maturity]
             rows = [i for i, row in enumerate(self.mc_rows) if row.maturity == maturity]
-            weights = np.empty((len(rows), s_t.size))
-            for w, i in zip(weights, rows):
-                row = self.mc_rows[i]
-                if row.kind is OptionKind.CALL:
-                    np.multiply(s_t > row.strike, s_t, out=w)
-                else:
-                    np.multiply(s_t < row.strike, -s_t, out=w)
-            weights *= math.exp(-self.ctx.r * maturity) / s_t.size
-            jac[n_cos + np.array(rows)] = sampler.weighted_gradient(
-                theta1, theta2, weights, self.config.fd_rel_step
+            weights = np.stack(
+                [option_payoff(s_t, self.mc_rows[i].strike, self.mc_rows[i].kind)[1] for i in rows]
             )
+            weights *= math.exp(-self.ctx.r * maturity) / s_t.size
+            jac[n_cos + np.array(rows)] = sampler.weighted_gradient(theta1, theta2, weights)
         return jac / math.sqrt(self.mids.size)
 
     def evaluate(self, theta1: RegimeParams, theta2: RegimeParams) -> float:
@@ -235,9 +221,9 @@ def calibrate(
     on the residual vector inside the bounds box: exact Jacobians (closed-
     form cosine sensitivities with the truncation interval held fixed, and
     pathwise derivatives through the frozen Monte Carlo draws, whose Gamma
-    alpha column alone is a forward difference with relative step
-    config.fd_rel_step), coordinates scaled by their initial magnitudes,
-    xtol = step_tolerance, and at most max_iters accepted iterations.
+    alpha column alone is a forward difference with relative step 1e-6),
+    coordinates scaled by their initial magnitudes, xtol = step_tolerance,
+    and at most max_iters accepted iterations.
     objective_history holds the objective at the solver's start point and
     at each accepted iterate, so it decreases. The start point is init,
     except that 'trf' first moves a coordinate lying on a face of the

@@ -114,15 +114,11 @@ def phi_matrix(model: SwitchingModel, u: complex) -> np.ndarray:
 
 
 def phi_matrix_batch(model: SwitchingModel, u: np.ndarray) -> np.ndarray:
-    """Phi(u) stacked over a vector of arguments, shape (n, 2, 2)."""
+    """Phi(u) stacked over a vector of arguments, shape (n, 2, 2), from the
+    entries the pricing path builds (`_phi_entries` at t = 1)."""
     u = np.asarray(u, dtype=complex).reshape(-1)
-    psi1 = np.asarray(regime_char_exponent(model.regimes[0], model.family, u))
-    psi2 = np.asarray(regime_char_exponent(model.regimes[1], model.family, u))
     out = np.empty(u.shape + (2, 2), dtype=complex)
-    out[:, 0, 0] = -model.lambda12 + psi1
-    out[:, 0, 1] = model.lambda12
-    out[:, 1, 0] = model.lambda21
-    out[:, 1, 1] = -model.lambda21 + psi2
+    out[:, 0, 0], out[:, 1, 1], out[:, 0, 1], out[:, 1, 0] = _phi_entries(model, 1.0, u)
     return out
 
 
@@ -308,7 +304,10 @@ def risk_neutral_drift(params: RegimeParams, family: Family, r: float) -> float:
     Solves Psi(-i) = r, i.e. ell(mu + sigma^2/2) = r, by bracketed root
     finding in mu (Psi(-i) is strictly increasing in mu). For the IG
     family a solution requires beta >= r/alpha; otherwise the needed
-    exponential moment does not exist.
+    exponential moment does not exist. At beta = r/alpha the root is the
+    closed end beta^2/2 of the exponent's domain, where ell = alpha beta;
+    the search below stops short of it, so a root it cannot bracket is
+    taken there.
     """
     from scipy.optimize import brentq
 
@@ -347,6 +346,8 @@ def risk_neutral_drift(params: RegimeParams, family: Family, r: float) -> float:
                 hi = cand
                 break
         if hi is None:
+            if family is Family.INVERSE_GAUSSIAN:
+                return sup - half_var
             raise ValueError(
                 "no martingale drift found within the exponent domain "
                 f"(family={family.value}, r={r})"

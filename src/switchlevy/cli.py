@@ -20,6 +20,7 @@ from .data_io import (
     load_prices,
     load_quotes,
     load_windows,
+    regime_to_dict,
     regimes_from_dict,
 )
 from .estimation import (
@@ -129,16 +130,7 @@ def cmd_estimate(args) -> int:
     doc = {
         "family": family.value,
         "method": args.method,
-        "regimes": [
-            {
-                "mu": fitted[j].params.mu,
-                "sigma": fitted[j].params.sigma,
-                "alpha": fitted[j].params.alpha,
-                "beta": fitted[j].params.beta,
-                "objective": fitted[j].objective,
-            }
-            for j in (1, 2)
-        ],
+        "regimes": [{**regime_to_dict(fitted[j].params), "objective": fitted[j].objective} for j in (1, 2)],
         "sojourn_years": {"regime1": rates.sojourn1_years, "regime2": rates.sojourn2_years},
         "intensities": {"lambda12": rates.lambda12, "lambda21": rates.lambda21},
         "n_returns": {"regime1": int((labels == 1).sum()), "regime2": int((labels == 2).sum())},
@@ -176,10 +168,7 @@ def cmd_calibrate(args) -> int:
     result = calibrate(quotes, ctx, init, config=config)
     doc = {
         "family": ctx.family.value,
-        "regimes": [
-            {"mu": p.mu, "sigma": p.sigma, "alpha": p.alpha, "beta": p.beta}
-            for p in result.params
-        ],
+        "regimes": [regime_to_dict(p) for p in result.params],
         "lambda12": ctx.lambda12,
         "lambda21": ctx.lambda21,
         "objective_rmse": result.objective,

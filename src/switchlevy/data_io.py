@@ -104,15 +104,17 @@ def load_grid(path) -> list[ContractSpec]:
 def model_to_dict(model: SwitchingModel) -> dict:
     return {
         "family": model.family.value,
-        "regimes": [
-            {"mu": p.mu, "sigma": p.sigma, "alpha": p.alpha, "beta": p.beta}
-            for p in model.regimes
-        ],
+        "regimes": [regime_to_dict(p) for p in model.regimes],
         "lambda12": model.lambda12,
         "lambda21": model.lambda21,
         "s0": model.s0,
         "r": model.r,
     }
+
+
+def regime_to_dict(params: RegimeParams) -> dict:
+    """One parameter block of a "regimes" list, as `regimes_from_dict` reads it."""
+    return {"mu": params.mu, "sigma": params.sigma, "alpha": params.alpha, "beta": params.beta}
 
 
 def regimes_from_dict(doc: dict) -> tuple[RegimeParams, ...]:

@@ -31,6 +31,7 @@ _BLOCK = 1 << 16
 # subordinator increments kept per frozen leg: a base point and its alpha
 # and beta probes, so the base is still kept when the optimizer returns to it
 _KEPT_INCREMENTS = 3
+_GAMMA_ALPHA_REL_STEP = 1e-6
 
 
 @dataclass(frozen=True)
@@ -142,6 +143,18 @@ def sample_terminal(
     return z
 
 
+def option_payoff(s_t: np.ndarray, strike: float, kind: OptionKind) -> tuple[np.ndarray, np.ndarray]:
+    """Payoff max(w (S_T - K), 0) on each terminal price, w = +1 for a call
+    and -1 for a put, and its pathwise weight, the derivative in log S_T:
+    w S_T where the payoff is positive, 0 elsewhere. The payoff is formed as
+    w S_T - w K, which is S_T - K or K - S_T to the bit, +0 at S_T = K
+    included."""
+    w = 1.0 if kind is OptionKind.CALL else -1.0
+    w_s = w * s_t
+    payoff = np.maximum(w_s - w * strike, 0.0)
+    return payoff, np.multiply(payoff > 0, w_s)
+
+
 def price_european_mc(
     model: SwitchingModel,
     contract: ContractSpec,
@@ -152,9 +165,9 @@ def price_european_mc(
 ) -> McResult:
     """Discounted mean payoff with a 95% confidence interval.
 
-    Paths are generated in fixed-size blocks with independent spawned
-    streams, so the result for a given seed does not depend on how the
-    blocks might be distributed over workers.
+    Paths are generated in fixed-size blocks, which bound the memory of
+    one call; each block draws from its own stream spawned from rng, which
+    fixes the result of a seed.
     """
     if n_paths < 100:
         raise ValueError("n_paths must be >= 100")
@@ -170,11 +183,7 @@ def price_european_mc(
         left -= m
     z = np.concatenate(chunks)
 
-    s_t = model.s0 * np.exp(z)
-    if contract.kind is OptionKind.CALL:
-        payoff = np.maximum(s_t - contract.strike, 0.0)
-    else:
-        payoff = np.maximum(contract.strike - s_t, 0.0)
+    payoff, _ = option_payoff(model.s0 * np.exp(z), contract.strike, contract.kind)
     disc = math.exp(-model.r * contract.maturity)
     price = disc * float(payoff.mean())
     se = disc * float(payoff.std(ddof=1)) / math.sqrt(n_paths)
@@ -242,13 +251,7 @@ class FrozenTerminalSampler:
             z[idx] += prm.mu * dl + prm.sigma * np.sqrt(dl) * nrm
         return z
 
-    def weighted_gradient(
-        self,
-        theta1: RegimeParams,
-        theta2: RegimeParams,
-        weights: np.ndarray,
-        fd_rel_step: float,
-    ) -> np.ndarray:
+    def weighted_gradient(self, theta1: RegimeParams, theta2: RegimeParams, weights: np.ndarray) -> np.ndarray:
         """sum_paths w_r(path) dZ_T/dtheta for each row r of weights (R,
         n_paths), theta = (mu, sigma, alpha, beta) of regime 1 then regime
         2; shape (R, 8).
@@ -260,7 +263,8 @@ class FrozenTerminalSampler:
         is differentiated in closed form (`_ig_increment_grad`); a Gamma
         increment is gammaincinv(alpha T, u) / beta, so dL/dbeta = -L/beta,
         and its alpha derivative, which scipy does not provide, is a forward
-        difference of the leg's contribution with step fd_rel_step * alpha.
+        difference of the leg's contribution with step
+        _GAMMA_ALPHA_REL_STEP * alpha.
         The increments come from the kept ones, so right after `evaluate`
         at the same point only that Gamma alpha probe transforms the draws
         again. Zero-length legs are never built: L = 0 there, and the
@@ -272,7 +276,7 @@ class FrozenTerminalSampler:
             dl = self._increment(prm, dur, u, nu, zz, kept)
             root = np.sqrt(dl)
             if self.family is Family.GAMMA:
-                alpha_h = prm.alpha * (1.0 + fd_rel_step)
+                alpha_h = prm.alpha * (1.0 + _GAMMA_ALPHA_REL_STEP)
                 dl_h = self._increment(replace(prm, alpha=alpha_h), dur, u, nu, zz, kept)
                 d_alpha = (prm.mu * (dl_h - dl) + prm.sigma * (np.sqrt(dl_h) - root) * nrm) / (
                     alpha_h - prm.alpha

@@ -1,3 +1,4 @@
+import math
 import warnings
 
 import numpy as np
@@ -442,6 +443,28 @@ class TestRiskNeutralDrift:
         mu = sl.risk_neutral_drift(prm, GAMMA, -0.02)
         psi = sl.regime_char_exponent(sl.RegimeParams(mu, 0.2, 0.5, 1.0), GAMMA, -1j)
         assert abs(psi - (-0.02)) < 1e-10
+
+    def test_ig_edge_beta_equals_r_over_alpha(self):
+        """At beta = r/alpha the root is the closed end beta^2/2 of the
+        exponent's domain: the drift is (r/alpha)(beta - r/(2 alpha)) - sigma^2/2."""
+        s, a, b, r = 0.2, 0.5, 0.08, 0.04
+        mu = sl.risk_neutral_drift(sl.RegimeParams(0.0, s, a, b), IG, r)
+        assert mu == pytest.approx((r / a) * (b - r / (2 * a)) - s**2 / 2, abs=1e-15)
+        assert mu == pytest.approx(-0.0168, abs=1e-15)
+
+    def test_ig_just_above_edge(self):
+        """beta = (r/alpha)(1 + 1e-12): the drift is the closed form to
+        1e-15. The martingale residual ell(mu + sigma^2/2) - r, in closed
+        form, is at most 1e-10 and at most 1e-9 in size: its slope
+        alpha / sqrt(beta^2 - 2s), ~1e9 here, scales the rounding of
+        mu + sigma^2/2."""
+        s, a, r = 0.2, 0.5, 0.04
+        b = (r / a) * (1 + 1e-12)
+        mu = sl.risk_neutral_drift(sl.RegimeParams(0.0, s, a, b), IG, r)
+        assert mu == pytest.approx((r / a) * (b - r / (2 * a)) - s**2 / 2, abs=1e-15)
+        x = mu + 0.5 * s**2
+        resid = a * (b - math.sqrt(max(b * b - 2.0 * x, 0.0))) - r
+        assert resid <= 1e-10 and abs(resid) <= 1e-9
 
     def test_ig_without_exponential_moment(self):
         prm = sl.RegimeParams(0.0, 0.1, 0.1, 0.2)  # beta < r/alpha = 0.4

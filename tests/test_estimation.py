@@ -361,6 +361,28 @@ class TestKde:
         assert isinstance(val, float)
         assert val == pytest.approx(1 / math.sqrt(2 * math.pi), abs=0.05)
 
+    @pytest.mark.parametrize(
+        "family, params",
+        [
+            (GAMMA, (0.05, 0.3, 10.0, 10.0)),
+            (GAMMA, (-0.1, 0.7, 5.0, 5.0)),
+            (GAMMA, (0.3, 0.3, 10.0, 10.0)),
+            (GAMMA, (0.3, 0.3, 1.0, 1.0)),
+            (IG, (0.05, 0.3, 2.0, 5.0)),
+            (IG, (-0.176, 0.444, 3.49, 3.47)),
+        ],
+    )
+    def test_binned_kde_error(self, family, params):
+        """The binned KDE of the simulated likelihood, of 10k simulated
+        daily increments at 2000 data points, is within 3% of the peak of
+        the direct KDE, seeds 0-4 (measured up to 1.5%)."""
+        prm = sl.RegimeParams(*params)
+        for seed in range(5):
+            sim = sl.FrozenTerminalSampler(family, 0.0, 0.0, DT, 10_000, seed).evaluate(prm, prm)
+            data = single_regime_increments(prm, family, DT, 2000, np.random.default_rng(seed + 100))
+            direct = sl.kde(sim, data)
+            assert np.abs(sl.estimation._binned_kde_at(sim, data) - direct).max() <= 0.03 * direct.max()
+
 
 class TestMleFit:
     def test_loglik_prefers_truth_over_doubled_sigma(self):

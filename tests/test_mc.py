@@ -34,13 +34,14 @@ class TestSimulatePath:
         assert abs(z.mean() - 0.3 * 0.8 / 2.0) < 3 * se
 
     def test_grid_contains_switch_times(self, fig2a_model):
-        rng = np.random.default_rng(2)
-        path = sl.simulate_path(fig2a_model, 1.0, DT, rng)
-        changes = np.nonzero(path.regimes[1:] != path.regimes[:-1])[0]
-        # each regime change happens at a grid point that is a switch time
-        for idx in changes:
-            t_change = path.times[idx + 1]
-            assert not np.isclose(t_change % DT, 0.0) or t_change in (0.0, 1.0) or True
+        """simulate_path draws its regime path first: the regime changes on
+        the grid exactly at that path's switch times, to its states."""
+        path = sl.simulate_path(fig2a_model, 1.0, DT, np.random.default_rng(2))
+        regime_path = sl.simulate_regime_path(fig2a_model, 1.0, np.random.default_rng(2))
+        assert regime_path.switch_times.size > 0
+        changes = np.flatnonzero(path.regimes[1:] != path.regimes[:-1]) + 1
+        np.testing.assert_array_equal(path.times[changes], regime_path.switch_times)
+        np.testing.assert_array_equal(path.regimes[changes], regime_path.states[1:])
         assert np.all((path.regimes == 1) | (path.regimes == 2))
 
     def test_per_regime_increment_variances(self, fig2a_model):
@@ -74,6 +75,24 @@ class TestSimulatePath:
         z_term = sl.sample_terminal(fig2a_model, 0.5, 40_000, 1 / 50, rng)
         se = math.sqrt(z_path.var() / z_path.size + z_term.var() / z_term.size)
         assert abs(z_path.mean() - z_term.mean()) < 3 * se
+
+
+class TestOptionPayoff:
+    def test_matches_call_and_put_payoffs_bit_for_bit(self):
+        """max(w (S_T - K), 0) is max(S_T - K, 0) or max(K - S_T, 0) to the
+        bit, +0 at S_T = K included; the weight is w S_T on s > K for a
+        call and on s < K for a put, 0 elsewhere."""
+        k = 20.0
+        s = np.random.default_rng(0).uniform(15.0, 25.0, 10_001)
+        s[::10] = k
+        for kind, w, expected, mask in (
+            (CALL, 1.0, np.maximum(s - k, 0.0), s > k),
+            (PUT, -1.0, np.maximum(k - s, 0.0), s < k),
+        ):
+            payoff, weight = sl.mc.option_payoff(s, k, kind)
+            assert payoff.tobytes() == expected.tobytes()
+            np.testing.assert_array_equal(weight != 0, mask)
+            assert weight.tobytes() == np.multiply(mask, w * s).tobytes()
 
 
 class TestPriceEuropeanMc:
@@ -265,7 +284,7 @@ class TestFrozenTerminalSampler:
         p1, p2 = sl.RegimeParams(0.1, 0.4, 1.5, 2.0), sl.RegimeParams(-0.1, 0.6, 1.0, 1.2)
         assert np.all(np.isfinite(sampler.evaluate(p1, p2)))
         weights = np.random.default_rng(24).standard_normal((2, n))
-        assert np.all(np.isfinite(sampler.weighted_gradient(p1, p2, weights, 1e-6)))
+        assert np.all(np.isfinite(sampler.weighted_gradient(p1, p2, weights)))
 
     @pytest.mark.parametrize("family", [sl.Family.GAMMA, sl.Family.INVERSE_GAUSSIAN])
     @pytest.mark.parametrize("lambda12, lambda21", [(2.5, 1.0), (20.0, 10.0)])
