@@ -24,7 +24,14 @@ from .regime import (
     SwitchingModel,
     simulate_regime_path,
 )
-from .subordinators import SubordinatorSpec, increment_from_draws, sample_increment, spec_for
+from .subordinators import (
+    SubordinatorSpec,
+    _run_ranges,
+    _split_ranges,
+    increment_from_draws,
+    sample_increment,
+    spec_for,
+)
 
 Z95 = 1.959964  # two-sided 95% normal quantile
 _BLOCK = 1 << 16
@@ -97,8 +104,11 @@ def sample_terminal(
 ) -> np.ndarray:
     """Vectorized terminal log returns Z_T for n_paths paths.
 
-    Marches the dt grid; paths with a switch inside the current step are
-    advanced segment by segment so each draw sees a single regime.
+    Marches the dt grid. Each step's first pass moves every path from the
+    step start to its next switch or the step end; then only the paths
+    that switched, as an index array, are advanced segment by segment, so
+    each draw sees a single regime. Every pass draws regime 1's increments
+    and normals, then regime 2's, then one exponential per switch.
     """
     if not 0 < dt <= horizon:
         raise ValueError("need 0 < dt <= horizon")
@@ -112,35 +122,51 @@ def sample_terminal(
     t = 0.0
     for step in range(n_steps):
         t_end = min(horizon, (step + 1) * dt)
-        t_cur = np.full(n_paths, t)
-        active = np.ones(n_paths, dtype=bool)
+        rows, t_cur = None, t  # the first pass: every path, from the step start
         for _pass in range(100000):
-            ev = np.minimum(next_switch, t_end)
-            dur = ev - t_cur
-            move = np.nonzero(active & (dur > 0))[0]
-            for j in (1, 2):
-                grp = move[state[move] == j]
-                if grp.size:
-                    dl = sample_increment(specs[j - 1], dur[grp], rng)
-                    z[grp] += params[j - 1].mu * dl + params[j - 1].sigma * np.sqrt(
-                        dl
-                    ) * rng.standard_normal(grp.size)
-            t_cur[move] = ev[move]
-            switching = active & (next_switch <= t_end)
-            if not switching.any():
+            ends = next_switch if rows is None else next_switch[rows]
+            dur = np.minimum(ends, t_end)
+            dur -= t_cur
+            _advance(z, rows, dur, (state if rows is None else state[rows]) == 1, params, specs, rng)
+            switching = np.flatnonzero(ends <= t_end)
+            if not switching.size:
                 break
-            sw = np.nonzero(switching)[0]
-            state[sw] = 3 - state[sw]
-            rates = np.where(state[sw] == 1, model.lambda12, model.lambda21)
+            # a path moved to its switch, or stayed where dur <= 0
+            t_cur = np.maximum(ends[switching], t_cur if rows is None else t_cur[switching])
+            rows = switching if rows is None else rows[switching]
+            state[rows] = 3 - state[rows]
+            rates = np.where(state[rows] == 1, model.lambda12, model.lambda21)
             fresh = np.where(
-                rates > 0, rng.exponential(1.0, sw.size) / np.maximum(rates, 1e-300), np.inf
+                rates > 0, rng.exponential(1.0, rows.size) / np.maximum(rates, 1e-300), np.inf
             )
-            next_switch[sw] = ev[sw] + fresh
-            active = switching
+            next_switch[rows] += fresh
         else:  # pragma: no cover
             raise RuntimeError("switch handling did not terminate")
         t = t_end
     return z
+
+
+def _advance(z, rows, dur, regime1, params, specs, rng) -> None:
+    """Add mu*dL + sigma*sqrt(dL)*N to the paths z[rows] (all paths for rows
+    None) over their durations dur, regime 1's paths first; a path with dur
+    <= 0 stays. Each regime's paths are taken by an index array, which
+    gathers and scatters several times faster than a boolean mask with the
+    regimes interleaved. The sum is formed in place with the operands of
+    mu*dL + (sigma*sqrt(dL))*N, so its bits are those of that formula."""
+    groups = (regime1, ~regime1)
+    if not dur.min(initial=np.inf) > 0:
+        moving = dur > 0
+        groups = tuple(g & moving for g in groups)
+    for prm, spec, grp in zip(params, specs, groups):
+        sel = np.flatnonzero(grp)
+        if sel.size:
+            dl = sample_increment(spec, dur[sel], rng)
+            noise = np.sqrt(dl)
+            noise *= prm.sigma
+            noise *= rng.standard_normal(dl.size)
+            dl *= prm.mu
+            dl += noise
+            z[sel if rows is None else rows[sel]] += dl
 
 
 def option_payoff(s_t: np.ndarray, strike: float, kind: OptionKind) -> tuple[np.ndarray, np.ndarray]:
@@ -165,9 +191,12 @@ def price_european_mc(
 ) -> McResult:
     """Discounted mean payoff with a 95% confidence interval.
 
-    Paths are generated in fixed-size blocks, which bound the memory of
-    one call; each block draws from its own stream spawned from rng, which
-    fixes the result of a seed.
+    Paths are generated in fixed-size blocks, each drawing from its own
+    stream spawned from rng, which fixes the result of a seed whatever the
+    CPU count. The blocks run concurrently on min(blocks, usable CPUs)
+    threads, the calling thread among them, each writing its slice of one
+    terminal array; one call's working memory is that many blocks. One
+    block runs on the calling thread alone.
     """
     if n_paths < 100:
         raise ValueError("n_paths must be >= 100")
@@ -175,15 +204,17 @@ def price_european_mc(
         rng = np.random.default_rng(seed)
     n_blocks = (n_paths + _BLOCK - 1) // _BLOCK
     streams = rng.spawn(n_blocks)
-    chunks = []
-    left = n_paths
-    for child in streams:
-        m = min(_BLOCK, left)
-        chunks.append(sample_terminal(model, contract.maturity, m, dt, child))
-        left -= m
-    z = np.concatenate(chunks)
+    s_t = np.empty(n_paths)
 
-    payoff, _ = option_payoff(model.s0 * np.exp(z), contract.strike, contract.kind)
+    def run_blocks(first: int, stop: int) -> None:
+        for k in range(first, stop):
+            block = s_t[k * _BLOCK : min((k + 1) * _BLOCK, n_paths)]
+            block[:] = sample_terminal(model, contract.maturity, block.size, dt, streams[k])
+            np.exp(block, out=block)
+
+    _run_ranges(run_blocks, _split_ranges(n_blocks, 1))
+    s_t *= model.s0
+    payoff, _ = option_payoff(s_t, contract.strike, contract.kind)
     disc = math.exp(-model.r * contract.maturity)
     price = disc * float(payoff.mean())
     se = disc * float(payoff.std(ddof=1)) / math.sqrt(n_paths)

@@ -17,6 +17,7 @@ from __future__ import annotations
 
 import math
 import os
+from collections.abc import Callable
 from dataclasses import dataclass
 
 import numpy as np
@@ -202,36 +203,49 @@ def _usable_cpus() -> int:
     return os.cpu_count() or 1
 
 
+def _split_ranges(size: int, min_part: int) -> list[tuple[int, int]]:
+    """Contiguous (lo, hi) ranges covering range(size), one per usable CPU
+    but at least min_part items each, and at least one range."""
+    parts = max(1, min(size // min_part, _usable_cpus()))
+    return [(size * k // parts, size * (k + 1) // parts) for k in range(parts)]
+
+
+def _run_ranges(run: Callable[[int, int], object], ranges: list[tuple[int, int]]) -> None:
+    """Call run(lo, hi) for every range. The calling thread runs the first
+    range and threads made for this call only run the others; every result
+    is read, so an exception in any range reaches the caller. The thread
+    pool module is imported only when there is more than one range."""
+    if len(ranges) == 1:
+        run(*ranges[0])
+        return
+    from concurrent.futures import ThreadPoolExecutor
+
+    with ThreadPoolExecutor(max_workers=len(ranges) - 1) as pool:
+        pending = [pool.submit(run, lo, hi) for lo, hi in ranges[1:]]
+        run(*ranges[0])
+        for job in pending:
+            job.result()
+
+
 def _gammaincinv(a, u):
     """scipy.special.gammaincinv(a, u), bit for bit, split across the CPUs.
 
     The broadcast, flattened arrays are cut into min(usable CPUs, size //
-    _SPLIT_CHUNK) contiguous chunks. The calling thread inverts the first
-    and threads made for this call only invert the others, each into its
-    slice of one output array; an exception in any chunk reaches the
-    caller. gammaincinv is elementwise and releases the GIL, so every
-    element gets the bits of the serial call. One chunk is the plain call.
+    _SPLIT_CHUNK) contiguous chunks, each inverted into its slice of one
+    output array (`_run_ranges`). gammaincinv is elementwise and releases
+    the GIL, so every element gets the bits of the serial call. One chunk
+    is the plain call.
     """
     shape = np.broadcast_shapes(np.shape(a), np.shape(u))
     size = math.prod(shape)
-    chunks = size // _SPLIT_CHUNK
-    if chunks > 1:
-        chunks = min(chunks, _usable_cpus())
-    if chunks <= 1:
+    ranges = _split_ranges(size, _SPLIT_CHUNK)
+    if len(ranges) == 1:
         return special.gammaincinv(a, u)
-    from concurrent.futures import ThreadPoolExecutor
-
     a, u = (np.broadcast_to(np.asarray(x, dtype=float), shape).reshape(-1) for x in (a, u))
     out = np.empty(size)
-    edges = [size * k // chunks for k in range(chunks + 1)]
-    parts = [slice(lo, hi) for lo, hi in zip(edges[:-1], edges[1:])]
 
-    def invert(part: slice) -> None:
-        special.gammaincinv(a[part], u[part], out=out[part])
+    def invert(lo: int, hi: int) -> None:
+        special.gammaincinv(a[lo:hi], u[lo:hi], out=out[lo:hi])
 
-    with ThreadPoolExecutor(max_workers=chunks - 1) as pool:
-        pending = [pool.submit(invert, part) for part in parts[1:]]
-        invert(parts[0])
-        for job in pending:
-            job.result()
+    _run_ranges(invert, ranges)
     return out.reshape(shape)

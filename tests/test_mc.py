@@ -1,4 +1,6 @@
 import math
+import sys
+import threading
 
 import numpy as np
 import pytest
@@ -77,6 +79,103 @@ class TestSimulatePath:
         assert abs(z_path.mean() - z_term.mean()) < 3 * se
 
 
+def _reference_sample_terminal(model, horizon, n_paths, dt, rng):
+    """The grid march as first written: every pass builds a time array and
+    masks over all paths. sample_terminal must reproduce it bit for bit."""
+    params = model.regimes
+    specs = tuple(sl.subordinators.spec_for(p, model.family) for p in params)
+    z = np.zeros(n_paths)
+    state = np.ones(n_paths, dtype=np.int8)
+    next_switch = sl.mc._draw_sojourns(model.lambda12, n_paths, rng)
+    n_steps = int(math.ceil(horizon / dt - 1e-12))
+    t = 0.0
+    for step in range(n_steps):
+        t_end = min(horizon, (step + 1) * dt)
+        t_cur = np.full(n_paths, t)
+        active = np.ones(n_paths, dtype=bool)
+        while True:
+            ev = np.minimum(next_switch, t_end)
+            dur = ev - t_cur
+            move = np.nonzero(active & (dur > 0))[0]
+            for j in (1, 2):
+                grp = move[state[move] == j]
+                if grp.size:
+                    dl = sl.sample_increment(specs[j - 1], dur[grp], rng)
+                    z[grp] += params[j - 1].mu * dl + params[j - 1].sigma * np.sqrt(
+                        dl
+                    ) * rng.standard_normal(grp.size)
+            t_cur[move] = ev[move]
+            switching = active & (next_switch <= t_end)
+            if not switching.any():
+                break
+            sw = np.nonzero(switching)[0]
+            state[sw] = 3 - state[sw]
+            rates = np.where(state[sw] == 1, model.lambda12, model.lambda21)
+            fresh = np.where(
+                rates > 0, rng.exponential(1.0, sw.size) / np.maximum(rates, 1e-300), np.inf
+            )
+            next_switch[sw] = ev[sw] + fresh
+            active = switching
+        t = t_end
+    return z
+
+
+def _reference_price(model, contract, n_paths, seed):
+    """price_european_mc as first written: the blocks one after another."""
+    streams = np.random.default_rng(seed).spawn(-(-n_paths // sl.mc._BLOCK))
+    sizes = [min(sl.mc._BLOCK, n_paths - k * sl.mc._BLOCK) for k in range(len(streams))]
+    z = np.concatenate(
+        [_reference_sample_terminal(model, contract.maturity, m, DT, g) for m, g in zip(sizes, streams)]
+    )
+    payoff, _ = sl.mc.option_payoff(model.s0 * np.exp(z), contract.strike, contract.kind)
+    disc = math.exp(-model.r * contract.maturity)
+    price = disc * float(payoff.mean())
+    se = disc * float(payoff.std(ddof=1)) / math.sqrt(n_paths)
+    return price, se, (price - sl.mc.Z95 * se, price + sl.mc.Z95 * se)
+
+
+def _two_regime_model(family, lambda12, lambda21):
+    p1 = sl.RegimeParams(0.01, 0.3, 2.0, 2.0)
+    p2 = sl.RegimeParams(-0.1, 0.6, 1.0, 4.0)
+    return sl.SwitchingModel((p1, p2), lambda12, lambda21, family, 20.0, 0.04)
+
+
+FAMILIES = [sl.Family.GAMMA, sl.Family.INVERSE_GAUSSIAN, sl.Family.IDENTITY]
+
+
+class TestGridMarchBits:
+    """sample_terminal draws in the order of the reference march, so every
+    terminal value is the reference's to the bit."""
+
+    @pytest.mark.parametrize("family", FAMILIES)
+    @pytest.mark.parametrize("intensities", [(2.5, 1.0), (0.0, 3.0), (3.0, 0.0), (20.0, 10.0)])
+    def test_equals_reference(self, family, intensities):
+        model = _two_regime_model(family, *intensities)
+        # 0.25 is 62.5 steps of 1/250: the last step is a half step
+        for horizon in (0.25, 0.2):
+            got = sl.sample_terminal(model, horizon, 3000, DT, np.random.default_rng(5))
+            expected = _reference_sample_terminal(model, horizon, 3000, DT, np.random.default_rng(5))
+            assert np.array_equal(got, expected)
+
+    @pytest.mark.parametrize("family", FAMILIES)
+    @pytest.mark.parametrize("n_paths", [1, 100, 65_537])
+    def test_equals_reference_at_any_path_count(self, family, n_paths):
+        model = _two_regime_model(family, 20.0, 10.0)
+        got = sl.sample_terminal(model, 0.05, n_paths, DT, np.random.default_rng(n_paths))
+        expected = _reference_sample_terminal(model, 0.05, n_paths, DT, np.random.default_rng(n_paths))
+        assert got.shape == (n_paths,) and np.array_equal(got, expected)
+
+    def test_zero_length_last_step(self):
+        """At 24,577 steps of 0.1 the rounded grid's last step is empty, so
+        the first pass of that step keeps its dur > 0 mask and moves no path."""
+        horizon, dt = 2457.6000000000004, 0.1
+        assert min(horizon, (math.ceil(horizon / dt - 1e-12) - 1) * dt) == horizon
+        model = _two_regime_model(sl.Family.IDENTITY, 0.2, 0.3)
+        got = sl.sample_terminal(model, horizon, 2, dt, np.random.default_rng(6))
+        expected = _reference_sample_terminal(model, horizon, 2, dt, np.random.default_rng(6))
+        assert np.array_equal(got, expected)
+
+
 class TestOptionPayoff:
     def test_matches_call_and_put_payoffs_bit_for_bit(self):
         """max(w (S_T - K), 0) is max(S_T - K, 0) or max(K - S_T, 0) to the
@@ -152,6 +251,69 @@ class TestPriceEuropeanMc:
         a = sl.price_european_mc(fig2a_model, c, 70_000, seed=10)
         b = sl.price_european_mc(fig2a_model, c, 70_000, seed=10)
         assert a.price == b.price and a.std_error == b.std_error
+
+    @pytest.mark.parametrize("n_paths", [70_000, 200_000])
+    def test_result_does_not_depend_on_cpu_count(self, monkeypatch, n_paths):
+        """Each block draws from its own stream and fills its own slice, so
+        the result is the serial reference's whatever the thread count."""
+        model = _two_regime_model(sl.Family.GAMMA, 20.0, 10.0)
+        contract = sl.ContractSpec(20.0, 0.1, CALL)
+        expected = _reference_price(model, contract, n_paths, 13)
+        for cpus in (1, 2, 3):
+            monkeypatch.setattr(sl.subordinators, "_usable_cpus", lambda: cpus)
+            res = sl.price_european_mc(model, contract, n_paths, seed=13)
+            assert (res.price, res.std_error, res.ci95) == expected
+
+    def test_more_workers_than_cores_under_fast_switching(self, monkeypatch):
+        model = _two_regime_model(sl.Family.IDENTITY, 20.0, 10.0)
+        contract = sl.ContractSpec(20.0, 0.02, PUT)
+        expected = _reference_price(model, contract, 200_000, 14)
+        monkeypatch.setattr(sl.subordinators, "_usable_cpus", lambda: 16)
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            for _ in range(3):
+                res = sl.price_european_mc(model, contract, 200_000, seed=14)
+                assert (res.price, res.std_error, res.ci95) == expected
+        finally:
+            sys.setswitchinterval(interval)
+
+    def test_blocks_share_the_cpus_with_the_caller(self, monkeypatch):
+        """200k paths are 4 blocks; on 3 CPUs the caller runs the first and
+        two threads made for the call run the others."""
+        caller, ran = threading.current_thread(), []
+        sample = sl.mc.sample_terminal
+
+        def recording(model, horizon, n_paths, dt, rng):
+            ran.append((threading.get_ident(), threading.current_thread() is caller))
+            return sample(model, horizon, n_paths, dt, rng)
+
+        monkeypatch.setattr(sl.subordinators, "_usable_cpus", lambda: 3)
+        monkeypatch.setattr(sl.mc, "sample_terminal", recording)
+        model = _two_regime_model(sl.Family.IDENTITY, 2.5, 1.0)
+        sl.price_european_mc(model, sl.ContractSpec(20.0, 0.02, CALL), 200_000, seed=0)
+        assert len(ran) == 4 and sum(on_caller for _, on_caller in ran) == 1
+        assert len({ident for ident, _ in ran}) == 3
+
+    def test_one_block_stays_on_the_calling_thread(self, monkeypatch):
+        import concurrent.futures
+
+        def no_pool(*args, **kwargs):
+            raise AssertionError("a one-block call made a thread pool")
+
+        monkeypatch.setattr(sl.subordinators, "_usable_cpus", lambda: 4)
+        monkeypatch.setattr(concurrent.futures, "ThreadPoolExecutor", no_pool)
+        model = _two_regime_model(sl.Family.GAMMA, 2.5, 1.0)
+        res = sl.price_european_mc(model, sl.ContractSpec(20.0, 0.1, CALL), sl.mc._BLOCK, seed=1)
+        assert res.n_paths == sl.mc._BLOCK
+
+    @pytest.mark.parametrize("cpus", [1, 2, 3])
+    def test_block_error_reaches_the_caller(self, monkeypatch, cpus):
+        """A maturity below dt fails in every block, on every thread."""
+        model = _two_regime_model(sl.Family.GAMMA, 2.5, 1.0)
+        monkeypatch.setattr(sl.subordinators, "_usable_cpus", lambda: cpus)
+        with pytest.raises(ValueError, match="dt <= horizon"):
+            sl.price_european_mc(model, sl.ContractSpec(20.0, 0.5 * DT, CALL), 200_000, seed=2)
 
     def test_minimum_paths(self, fig2a_model):
         with pytest.raises(ValueError):
