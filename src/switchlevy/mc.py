@@ -26,6 +26,7 @@ from .regime import (
 )
 from .subordinators import (
     SubordinatorSpec,
+    _even_ranges,
     _run_ranges,
     _split_ranges,
     increment_from_draws,
@@ -191,12 +192,17 @@ def price_european_mc(
 ) -> McResult:
     """Discounted mean payoff with a 95% confidence interval.
 
-    Paths are generated in fixed-size blocks, each drawing from its own
-    stream spawned from rng, which fixes the result of a seed whatever the
-    CPU count. The blocks run concurrently on min(blocks, usable CPUs)
-    threads, the calling thread among them, each writing its slice of one
-    terminal array; one call's working memory is that many blocks. One
-    block runs on the calling thread alone.
+    The paths are cut into B = ceil(n_paths / 65,536) blocks of equal
+    size: block k holds paths [n_paths*k // B, n_paths*(k+1) // B) and
+    draws from the k-th stream spawned from rng, so the result depends
+    only on the seed and n_paths, whatever the CPU count. At most 65,536
+    paths, or a multiple of 65,536, is the layout of fixed 65,536-path
+    blocks that earlier versions used, with the same draws; other counts
+    draw the same law from other draws. The blocks run concurrently on
+    min(B, usable CPUs) threads, the calling thread among them, each
+    writing its slice of one terminal array, so on two CPUs 100k paths
+    are two 50,000-path blocks, one per CPU. One call's working memory is
+    that many blocks. One block runs on the calling thread alone.
     """
     if n_paths < 100:
         raise ValueError("n_paths must be >= 100")
@@ -204,11 +210,12 @@ def price_european_mc(
         rng = np.random.default_rng(seed)
     n_blocks = (n_paths + _BLOCK - 1) // _BLOCK
     streams = rng.spawn(n_blocks)
+    blocks = _even_ranges(n_paths, n_blocks)
     s_t = np.empty(n_paths)
 
     def run_blocks(first: int, stop: int) -> None:
         for k in range(first, stop):
-            block = s_t[k * _BLOCK : min((k + 1) * _BLOCK, n_paths)]
+            block = s_t[slice(*blocks[k])]
             block[:] = sample_terminal(model, contract.maturity, block.size, dt, streams[k])
             np.exp(block, out=block)
 

@@ -203,11 +203,16 @@ def _usable_cpus() -> int:
     return os.cpu_count() or 1
 
 
-def _split_ranges(size: int, min_part: int) -> list[tuple[int, int]]:
-    """Contiguous (lo, hi) ranges covering range(size), one per usable CPU
-    but at least min_part items each, and at least one range."""
-    parts = max(1, min(size // min_part, _usable_cpus()))
+def _even_ranges(size: int, parts: int) -> list[tuple[int, int]]:
+    """parts contiguous (lo, hi) ranges covering range(size), range k being
+    [size*k // parts, size*(k+1) // parts): their lengths differ by at most 1."""
     return [(size * k // parts, size * (k + 1) // parts) for k in range(parts)]
+
+
+def _split_ranges(size: int, min_part: int) -> list[tuple[int, int]]:
+    """Even ranges covering range(size), one per usable CPU but at least
+    min_part items each, and at least one range."""
+    return _even_ranges(size, max(1, min(size // min_part, _usable_cpus())))
 
 
 def _run_ranges(run: Callable[[int, int], object], ranges: list[tuple[int, int]]) -> None:

@@ -121,9 +121,10 @@ def _reference_sample_terminal(model, horizon, n_paths, dt, rng):
 
 
 def _reference_price(model, contract, n_paths, seed):
-    """price_european_mc as first written: the blocks one after another."""
+    """price_european_mc with its B equal blocks one after another: block k
+    holds paths [n_paths*k // B, n_paths*(k+1) // B) and draws from stream k."""
     streams = np.random.default_rng(seed).spawn(-(-n_paths // sl.mc._BLOCK))
-    sizes = [min(sl.mc._BLOCK, n_paths - k * sl.mc._BLOCK) for k in range(len(streams))]
+    sizes = [n_paths * (k + 1) // len(streams) - n_paths * k // len(streams) for k in range(len(streams))]
     z = np.concatenate(
         [_reference_sample_terminal(model, contract.maturity, m, DT, g) for m, g in zip(sizes, streams)]
     )
@@ -294,6 +295,42 @@ class TestPriceEuropeanMc:
         sl.price_european_mc(model, sl.ContractSpec(20.0, 0.02, CALL), 200_000, seed=0)
         assert len(ran) == 4 and sum(on_caller for _, on_caller in ran) == 1
         assert len({ident for ident, _ in ran}) == 3
+
+    @pytest.mark.parametrize(
+        "n_paths, sizes",
+        [
+            (100_000, [50_000, 50_000]),
+            (65_537, [32_768, 32_769]),
+            (65_536, [65_536]),
+            (131_072, [65_536, 65_536]),
+        ],
+    )
+    def test_blocks_are_equal_in_size(self, monkeypatch, n_paths, sizes):
+        """ceil(n_paths / 65,536) blocks, their sizes differing by at most one
+        path. At most 65,536 paths, or a multiple of it, is the layout of
+        fixed 65,536-path blocks, so the result is that layout's to the bit."""
+        ran, sample = [], sl.mc.sample_terminal
+
+        def recording(model, horizon, n, dt, rng):
+            ran.append(n)
+            return sample(model, horizon, n, dt, rng)
+
+        monkeypatch.setattr(sl.subordinators, "_usable_cpus", lambda: 1)  # blocks in order
+        monkeypatch.setattr(sl.mc, "sample_terminal", recording)
+        model = _two_regime_model(sl.Family.GAMMA, 2.5, 1.0)
+        contract = sl.ContractSpec(20.0, 0.02, CALL)
+        res = sl.price_european_mc(model, contract, n_paths, seed=15)
+        assert ran == sizes
+        if n_paths % sl.mc._BLOCK == 0:
+            streams = np.random.default_rng(15).spawn(-(-n_paths // sl.mc._BLOCK))
+            fixed = [min(sl.mc._BLOCK, n_paths - k * sl.mc._BLOCK) for k in range(len(streams))]
+            z = np.concatenate([sample(model, 0.02, m, DT, g) for m, g in zip(fixed, streams)])
+            payoff, _ = sl.mc.option_payoff(model.s0 * np.exp(z), contract.strike, contract.kind)
+            disc = math.exp(-model.r * contract.maturity)
+            price = disc * float(payoff.mean())
+            se = disc * float(payoff.std(ddof=1)) / math.sqrt(n_paths)
+            ci95 = (price - sl.mc.Z95 * se, price + sl.mc.Z95 * se)
+            assert (res.price, res.std_error, res.ci95) == (price, se, ci95)
 
     def test_one_block_stays_on_the_calling_thread(self, monkeypatch):
         import concurrent.futures
