@@ -21,7 +21,7 @@ import numpy as np
 from .cos import ContractSpec, CosConfig, OptionKind, price_table, price_table_jacobian
 from .estimation import ParamBounds
 from .mc import FrozenTerminalSampler, option_payoff
-from .regime import Family, RegimeParams, SwitchingModel
+from .regime import Family, RegimeParams, SwitchingModel, check_market
 
 
 class CalibrationError(RuntimeError):
@@ -90,6 +90,9 @@ class CalibContext:
     lambda21: float
     s0: float
     r: float
+
+    def __post_init__(self) -> None:
+        check_market(self.lambda12, self.lambda21, self.s0)
 
 
 @dataclass(frozen=True)

@@ -164,9 +164,7 @@ class CharFn:
     passing y0 = log(s0 / K). t is one horizon, or an array-like of
     horizons that broadcasts against the u grid of `switching_cf`: an
     (M, 1) column against an (M, n) grid gives one row per horizon in one
-    sweep. Every horizon must be finite and > 0. t is kept as given, so a
-    column of horizons passed as nested tuples, ((t1,), (t2,), ...), keeps
-    the CF hashable, as a scalar t does.
+    sweep. Every horizon must be finite and > 0.
     """
 
     model: SwitchingModel

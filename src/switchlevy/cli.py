@@ -3,25 +3,25 @@
 from __future__ import annotations
 
 import argparse
-import csv
-import json
 import sys
-from pathlib import Path
 
 import numpy as np
 
-from .calibration import CalibConfig, CalibContext, CalibrationError, calibrate
+from .calibration import CalibConfig, CalibrationError, calibrate
 from .charfn import CharFn, switching_cf
 from .cos import ContractSpec, CosConfig, OptionKind, PricingError, bs_closed_form, price_table
 from .data_io import (
     DataError,
     load_grid,
+    load_init,
+    load_market,
     load_model,
     load_prices,
     load_quotes,
     load_windows,
     regime_to_dict,
-    regimes_from_dict,
+    write_csv,
+    write_json,
 )
 from .estimation import (
     AbsThreshold,
@@ -40,12 +40,14 @@ from .regime import TRADING_DT, Family, RegimeParams, SwitchingModel
 # rows of the Black-Scholes reduction check: (maturity, strike, r, sigma)
 BS_CHECK_ROWS = ((1.0, 1.0, 0.04, 0.5), (3.0, 1.0, 0.1, 1.0), (2.0, 30.0, 0.5, 0.001))
 BS_CHECK_S0 = 20.0
+MC_PATHS = 100_000  # Monte Carlo paths of `price --method mc` and `bs-check`
+# start point of `calibrate` without --init
+CALIBRATION_START = (RegimeParams(0.0, 0.3, 1.0, 1.0),) * 2
 
 
 def cmd_price(args) -> int:
     model = load_model(args.model)
     contracts = load_grid(args.grid)
-    # every price is computed before --out is opened, so a failure leaves no file
     if args.method == "cos":
         prices = price_table(model, contracts, CosConfig(n_terms=args.n_terms))
         header = ["maturity", "strike", "kind", "price", "method"]
@@ -62,10 +64,7 @@ def cmd_price(args) -> int:
                 [c.maturity, c.strike, c.kind.value, repr(res.price), "mc",
                  repr(res.std_error), repr(res.ci95[0]), repr(res.ci95[1]), res.n_paths]
             )
-    with open(args.out, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(header)
-        writer.writerows(rows)
+    write_csv(args.out, header, rows)
     print(f"wrote {len(contracts)} prices to {args.out}")
     return 0
 
@@ -74,11 +73,10 @@ def cmd_simulate(args) -> int:
     model = load_model(args.model)
     rng = np.random.default_rng(args.seed)
     path = simulate_path(model, args.horizon, args.dt, rng)
-    with open(args.out, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["time", "log_price", "regime"])
-        for t, z, s in zip(path.times, path.log_prices, path.regimes):
-            writer.writerow([repr(float(t)), repr(float(z)), int(s)])
+    rows = [
+        [repr(float(t)), repr(float(z)), int(s)] for t, z, s in zip(path.times, path.log_prices, path.regimes)
+    ]
+    write_csv(args.out, ["time", "log_price", "regime"], rows)
     print(f"wrote {len(path.times)} grid points to {args.out}")
     return 0
 
@@ -88,11 +86,8 @@ def cmd_plot_cf(args) -> int:
     cf = CharFn(model, args.t)
     u = np.linspace(args.umin, args.umax, args.n)
     phi = switching_cf(cf, u)
-    with open(args.out, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["u", "re", "im"])
-        for ui, pi in zip(u, phi):
-            writer.writerow([repr(float(ui)), repr(float(pi.real)), repr(float(pi.imag))])
+    rows = [[repr(float(ui)), repr(float(pi.real)), repr(float(pi.imag))] for ui, pi in zip(u, phi)]
+    write_csv(args.out, ["u", "re", "im"], rows)
     print(f"wrote characteristic function on [{args.umin}, {args.umax}] to {args.out}")
     return 0
 
@@ -136,34 +131,15 @@ def cmd_estimate(args) -> int:
         "n_returns": {"regime1": int((labels == 1).sum()), "regime2": int((labels == 2).sum())},
         "n_clipped_prices": series.n_clipped,
     }
-    Path(args.out).write_text(json.dumps(doc, indent=2, sort_keys=True) + "\n")
+    write_json(args.out, doc)
     print(f"estimated {args.method}/{family.value} parameters -> {args.out}")
     return 0
 
 
 def cmd_calibrate(args) -> int:
     quotes = load_quotes(args.quotes)
-    market = json.loads(Path(args.market).read_text())
-    try:
-        ctx = CalibContext(
-            family=Family(args.family),
-            lambda12=float(market["lambda12"]),
-            lambda21=float(market["lambda21"]),
-            s0=float(market["s0"]),
-            r=float(market["r"]),
-        )
-    except (KeyError, TypeError, ValueError) as exc:
-        raise DataError(f"{args.market}: needs s0, r, lambda12, lambda21: {exc}") from exc
-    if args.init:
-        doc = json.loads(Path(args.init).read_text())
-        try:
-            init = regimes_from_dict(doc)
-        except (KeyError, TypeError, ValueError) as exc:
-            raise DataError(f"{args.init}: needs regimes with mu, sigma, alpha, beta: {exc}") from exc
-        if len(init) != 2:
-            raise DataError(f"{args.init}: needs exactly 2 regimes, got {len(init)}")
-    else:
-        init = (RegimeParams(0.0, 0.3, 1.0, 1.0), RegimeParams(0.0, 0.3, 1.0, 1.0))
+    ctx = load_market(args.market, Family(args.family))
+    init = load_init(args.init) if args.init else CALIBRATION_START
     config = CalibConfig(max_iters=args.max_iters, mc_paths=args.mc_paths, mc_seed=args.seed)
     result = calibrate(quotes, ctx, init, config=config)
     doc = {
@@ -175,7 +151,7 @@ def cmd_calibrate(args) -> int:
         "iterations": result.n_iters,
         "stop_reason": result.stop_reason,
     }
-    Path(args.out).write_text(json.dumps(doc, indent=2, sort_keys=True) + "\n")
+    write_json(args.out, doc)
     print(
         f"calibrated {len(quotes)} quotes: rmse={result.objective:.6g} "
         f"after {result.n_iters} iterations ({result.stop_reason}) -> {args.out}"
@@ -212,11 +188,8 @@ def cmd_payoff_surface(args) -> int:
     kind = OptionKind(args.kind)
     contracts = [ContractSpec(float(k), float(t), kind) for t in maturities for k in strikes]
     prices = price_table(model, contracts, CosConfig(n_terms=args.n_terms))
-    with open(args.out, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["maturity", "strike", "price"])
-        for c, p in zip(contracts, prices):
-            writer.writerow([c.maturity, c.strike, repr(float(p))])
+    rows = [[c.maturity, c.strike, repr(float(p))] for c, p in zip(contracts, prices)]
+    write_csv(args.out, ["maturity", "strike", "price"], rows)
     print(f"wrote {len(contracts)} surface points to {args.out}")
     return 0
 
@@ -233,8 +206,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--grid", required=True, help="CSV with maturity,strike,kind")
     p.add_argument("--out", required=True)
     p.add_argument("--method", choices=["cos", "mc"], default="cos")
-    p.add_argument("--n-terms", type=int, default=512)
-    p.add_argument("--paths", type=int, default=100_000)
+    p.add_argument("--n-terms", type=int, default=CosConfig.n_terms)
+    p.add_argument("--paths", type=int, default=MC_PATHS)
     p.add_argument("--dt", type=float, default=TRADING_DT)
     p.add_argument("--seed", type=int, default=0)
     p.set_defaults(func=cmd_price)
@@ -272,14 +245,14 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--out", required=True)
     p.add_argument("--family", choices=["gamma", "ig"], default="gamma")
     p.add_argument("--init", help="JSON with a 'regimes' list of parameter blocks")
-    p.add_argument("--max-iters", type=int, default=1000)
-    p.add_argument("--mc-paths", type=int, default=20_000)
+    p.add_argument("--max-iters", type=int, default=CalibConfig.max_iters)
+    p.add_argument("--mc-paths", type=int, default=CalibConfig.mc_paths)
     p.add_argument("--seed", type=int, default=0)
     p.set_defaults(func=cmd_calibrate)
 
     p = sub.add_parser("bs-check", help="Black-Scholes reduction table (COS vs BS vs MC)")
     p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--paths", type=int, default=100_000)
+    p.add_argument("--paths", type=int, default=MC_PATHS)
     p.set_defaults(func=cmd_bs_check)
 
     p = sub.add_parser("payoff-surface", help="price a (T, K) grid for surface plots")
@@ -292,7 +265,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--kmax", type=float, required=True)
     p.add_argument("--nk", type=int, default=15)
     p.add_argument("--kind", choices=["call", "put"], default="call")
-    p.add_argument("--n-terms", type=int, default=512)
+    p.add_argument("--n-terms", type=int, default=CosConfig.n_terms)
     p.set_defaults(func=cmd_payoff_surface)
 
     return parser

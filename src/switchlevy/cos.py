@@ -55,9 +55,13 @@ class ContractSpec:
             raise ValueError(f"maturity must be > 0, got {self.maturity}")
 
 
+# L of the automatic truncation interval c1 -/+ L sqrt(c2 + sqrt|c4|)
+CUMULANT_SCALE = 10.0
+
+
 @dataclass(frozen=True)
 class CosConfig:
-    """Series length, optional fixed interval, and cumulant scale L.
+    """Series length and optional fixed interval.
 
     A user interval [a, b] is in log-moneyness log(S_T/K), is shared by
     every strike and has finite endpoints with a < 0 < b.
@@ -65,7 +69,6 @@ class CosConfig:
 
     n_terms: int = 512
     interval: tuple[float, float] | None = None
-    cumulant_scale: float = 10.0
 
     def __post_init__(self) -> None:
         if not (isinstance(self.n_terms, numbers.Integral) and self.n_terms >= 16):
@@ -74,8 +77,6 @@ class CosConfig:
             a, b = self.interval
             if not (-math.inf < a < 0.0 < b < math.inf):
                 raise ValueError(f"interval must be finite with a < 0 < b, got [{a}, {b}]")
-        if not self.cumulant_scale > 0:
-            raise ValueError("cumulant_scale must be > 0")
 
 
 def log_return_cumulants(cf: CharFn):
@@ -118,12 +119,12 @@ def log_return_cumulants(cf: CharFn):
 
 def truncation_interval(cf: CharFn, config: CosConfig):
     """Expansion interval [a, b]: user-specified, or the cumulant rule
-    c1 -/+ L sqrt(c2 + sqrt|c4|), as floats for a scalar horizon and as
-    arrays of cf.t's shape for an array of horizons."""
+    c1 -/+ L sqrt(c2 + sqrt|c4|) with L = CUMULANT_SCALE, as floats for a
+    scalar horizon and as arrays of cf.t's shape for an array of horizons."""
     if config.interval is not None:
         return config.interval
     c1, c2, c4 = log_return_cumulants(cf)
-    half = config.cumulant_scale * np.sqrt(np.maximum(c2, 0.0) + np.sqrt(np.abs(c4)))
+    half = CUMULANT_SCALE * np.sqrt(np.maximum(c2, 0.0) + np.sqrt(np.abs(c4)))
     if not (np.isfinite(half) & (half > 0)).all():
         raise ValueError(f"degenerate truncation width {half}")
     if half.ndim:
@@ -176,14 +177,12 @@ def _guard_put_sums(raw: np.ndarray, strikes: np.ndarray) -> np.ndarray:
     return np.where(raw < 0.0, 0.0, raw)
 
 
-def price_put(cf: CharFn, contract: ContractSpec, config: CosConfig = CosConfig()) -> float:
-    """COS price of a European put through `price_table`.
-
-    cf must be built with horizon = maturity and y0 = log(S0/K), the
-    log-moneyness centering the pricer uses for every strike.
-    """
-    model = cf.model
-    expected_y0 = math.log(model.s0 / contract.strike)
+def _price_from_cf(cf: CharFn, contract: ContractSpec, kind: OptionKind, config: CosConfig) -> float:
+    """COS price of the `kind` option of the contract's strike and maturity
+    through `price_table`. cf must be built with horizon = maturity and
+    y0 = log(S0/K), the log-moneyness centering the pricer uses for every
+    strike."""
+    expected_y0 = math.log(cf.model.s0 / contract.strike)
     if np.ndim(cf.t):
         raise ValueError(f"cf horizon must be one maturity, got {np.ravel(cf.t).tolist()}")
     if abs(cf.t - contract.maturity) > 1e-12 * max(1.0, contract.maturity):
@@ -193,16 +192,18 @@ def price_put(cf: CharFn, contract: ContractSpec, config: CosConfig = CosConfig(
             f"cf.y0={cf.y0} is not log(s0/K)={expected_y0}; "
             "build the CF at log-moneyness for pricing"
         )
-    put = ContractSpec(contract.strike, contract.maturity, OptionKind.PUT)
-    return float(price_table(model, [put], config)[0])
+    return price_contract(cf.model, ContractSpec(contract.strike, contract.maturity, kind), config)
+
+
+def price_put(cf: CharFn, contract: ContractSpec, config: CosConfig = CosConfig()) -> float:
+    """COS price of a European put, cf as `_price_from_cf` requires."""
+    return _price_from_cf(cf, contract, OptionKind.PUT, config)
 
 
 def price_call(cf: CharFn, contract: ContractSpec, config: CosConfig = CosConfig()) -> float:
-    """COS price of a European call via put-call parity (single correction
-    after the summation, never a direct call-coefficient series)."""
-    put = price_put(cf, contract, config)
-    model = cf.model
-    return put + model.s0 - contract.strike * math.exp(-model.r * contract.maturity)
+    """COS price of a European call, cf as `_price_from_cf` requires;
+    `price_table` takes it from the put by put-call parity."""
+    return _price_from_cf(cf, contract, OptionKind.CALL, config)
 
 
 def price_contract(
@@ -333,10 +334,10 @@ def _grid_sums(model: SwitchingModel, contracts: Sequence[ContractSpec], config:
 
     The contracts are taken in `_by_maturity` groups. cf_rows(base, u)
     gives J rows (the CF or its derivatives) per maturity, shape (M, J, n),
-    of the y0 = 0 CF `base` whose M maturities form an (M, 1) column of
-    horizons (nested tuples, so the CF stays hashable). Returns the input
-    positions of the grouped contracts and, in that order, the strikes, the
-    discount factors and the discounted sums, shape (K, J).
+    of the y0 = 0 CF `base` whose M maturities form an (M, 1) array of
+    horizons. Returns the input positions of the grouped contracts and, in
+    that order, the strikes, the discount factors and the discounted sums,
+    shape (K, J).
 
     A contract's sum is Sum_k Re(rows_k e^{i u_k (x0 - a)}) V_k with
     x0 = log(s0/K), the first term halved. One factor is shared by a
@@ -356,7 +357,7 @@ def _grid_sums(model: SwitchingModel, contracts: Sequence[ContractSpec], config:
     strikes = np.array([contracts[i].strike for i in order])
     x0 = np.log(model.s0 / strikes)
     disc = np.array([math.exp(-model.r * t) for t in by_t]).repeat(counts)
-    base = CharFn(model, tuple((t,) for t in by_t), y0=0.0)
+    base = CharFn(model, np.array(list(by_t))[:, None], y0=0.0)
     a0, b0 = truncation_interval(base, config)
     width, n = b0 - a0, config.n_terms
     u = np.arange(n) * np.pi / width
@@ -413,7 +414,7 @@ def price_table_jacobian(
         return jac
 
     def derivative_rows(base, u):
-        t = np.array(base.t)
+        t = base.t
         _, df_da11, df_da22 = _row_sum_grad(*_phi_entries(model, t, u))
         grad1, grad2 = (np.moveaxis(regime_char_exponent_grad(p, model.family, u), 0, -2) for p in model.regimes)
         return t[..., None] * np.concatenate([df_da11[:, None] * grad1, df_da22[:, None] * grad2], axis=1)

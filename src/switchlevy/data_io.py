@@ -1,4 +1,30 @@
-"""File formats: price CSVs, quote CSVs, model JSON, window files."""
+"""File formats: every file the command line reads or writes.
+
+Inputs, each rejected with a DataError that names the file:
+- price CSV `date,price` (`load_prices`): a daily history;
+- quote CSV `maturity,strike,kind,mid` (`load_quotes`): option quotes;
+- grid CSV `maturity,strike,kind` (`load_grid`): contracts to price;
+- model JSON (`load_model`, `save_model`): family, "regimes" (two blocks of
+  mu, sigma, alpha, beta), lambda12, lambda21, s0 and r;
+- market JSON (`load_market`): s0, r, lambda12 and lambda21, the fixed
+  market data of a calibration;
+- init JSON (`load_init`): a "regimes" list of two parameter blocks, the
+  start of a calibration;
+- window JSON (`load_windows`): a list of [start, end] ISO date pairs.
+
+Outputs: a CSV table with a header row (`write_csv`), and a JSON document
+with 2-space indent, sorted keys and a trailing newline (`write_json`).
+The command line's layouts:
+- `price`: maturity, strike, kind, price, method, and for Monte Carlo also
+  std_error, ci_lo, ci_hi, n_paths;
+- `simulate`: time, log_price, regime;
+- `plot-cf`: u, re, im;
+- `payoff-surface`: maturity, strike, price;
+- `estimate`: family, method, "regimes" (each block with its objective),
+  sojourn_years, intensities, n_returns, n_clipped_prices;
+- `calibrate`: family, "regimes", lambda12, lambda21, objective_rmse,
+  iterations, stop_reason.
+"""
 
 from __future__ import annotations
 
@@ -10,10 +36,14 @@ from pathlib import Path
 
 import numpy as np
 
-from .calibration import QuoteRow, QuoteTable
+from .calibration import CalibContext, QuoteRow, QuoteTable
 from .cos import ContractSpec, OptionKind
 from .estimation import DateWindows, ReturnSeries
 from .regime import TRADING_DT, Family, RegimeParams, SwitchingModel
+
+# the price that replaces a nonpositive one (negative electricity spots)
+# before logs are taken
+PRICE_FLOOR = 0.01
 
 
 class DataError(ValueError):
@@ -37,12 +67,11 @@ def _csv_rows(path, columns: tuple[str, ...]):
             yield lineno, row
 
 
-def load_prices(path, clip_floor: float = 0.01) -> ReturnSeries:
+def load_prices(path) -> ReturnSeries:
     """Read a 'date,price' CSV into daily log returns.
 
-    Nonpositive prices (negative electricity spots) are replaced by
-    clip_floor before taking logs; the count of replacements is kept on
-    the returned series.
+    Nonpositive prices are replaced by PRICE_FLOOR before taking logs; the
+    count of replacements is kept on the returned series.
     """
     dates: list[date] = []
     prices: list[float] = []
@@ -62,7 +91,7 @@ def load_prices(path, clip_floor: float = 0.01) -> ReturnSeries:
         raise DataError(f"{path}: need at least 2 rows, got {len(prices)}")
     arr = np.asarray(prices)
     n_clipped = int((arr <= 0).sum())
-    arr = np.where(arr <= 0, clip_floor, arr)
+    arr = np.where(arr <= 0, PRICE_FLOOR, arr)
     log_returns = np.diff(np.log(arr))
     return ReturnSeries(tuple(dates[1:]), log_returns, TRADING_DT, n_clipped)
 
@@ -99,6 +128,29 @@ def load_grid(path) -> list[ContractSpec]:
     if not contracts:
         raise DataError(f"{path}: no contracts found")
     return contracts
+
+
+def _read_json(path):
+    """The JSON document in path; an unreadable or malformed file raises a
+    DataError that names it."""
+    try:
+        return json.loads(Path(path).read_text())
+    except (OSError, json.JSONDecodeError) as exc:
+        raise DataError(f"{path}: {exc}") from exc
+
+
+def write_json(path, doc) -> None:
+    """Write doc with 2-space indent, sorted keys and a trailing newline."""
+    Path(path).write_text(json.dumps(doc, indent=2, sort_keys=True) + "\n")
+
+
+def write_csv(path, header, rows) -> None:
+    """Write a header row and then rows; form the rows before calling, so a
+    run that fails leaves no file."""
+    with open(path, "w", newline="") as fh:
+        writer = csv.writer(fh)
+        writer.writerow(header)
+        writer.writerows(rows)
 
 
 def model_to_dict(model: SwitchingModel) -> dict:
@@ -141,24 +193,46 @@ def model_from_dict(doc: dict) -> SwitchingModel:
 
 
 def save_model(model: SwitchingModel, path) -> None:
-    Path(path).write_text(json.dumps(model_to_dict(model), indent=2, sort_keys=True) + "\n")
+    write_json(path, model_to_dict(model))
 
 
 def load_model(path) -> SwitchingModel:
+    doc = _read_json(path)
     try:
-        doc = json.loads(Path(path).read_text())
-    except (OSError, json.JSONDecodeError) as exc:
+        return model_from_dict(doc)
+    except DataError as exc:
         raise DataError(f"{path}: {exc}") from exc
-    return model_from_dict(doc)
+
+
+def load_market(path, family: Family) -> CalibContext:
+    """Read a market JSON (s0, r, lambda12, lambda21) into the fixed market
+    data of a calibration with subordinator family `family`."""
+    doc = _read_json(path)
+    try:
+        return CalibContext(family, *(float(doc[key]) for key in ("lambda12", "lambda21", "s0", "r")))
+    except (KeyError, TypeError, ValueError) as exc:
+        raise DataError(f"{path}: needs s0, r, lambda12, lambda21: {exc}") from exc
+
+
+def load_init(path) -> tuple[RegimeParams, RegimeParams]:
+    """Read an init JSON: a "regimes" list of exactly two parameter blocks."""
+    doc = _read_json(path)
+    try:
+        init = regimes_from_dict(doc)
+    except (KeyError, TypeError, ValueError) as exc:
+        raise DataError(f"{path}: needs regimes with mu, sigma, alpha, beta: {exc}") from exc
+    if len(init) != 2:
+        raise DataError(f"{path}: needs exactly 2 regimes, got {len(init)}")
+    return init
 
 
 def load_windows(path) -> DateWindows:
     """Read a JSON list of [start, end] ISO date pairs (regime-1 windows)."""
+    doc = _read_json(path)
     try:
-        doc = json.loads(Path(path).read_text())
         windows = tuple(
             (date.fromisoformat(start), date.fromisoformat(end)) for start, end in doc
         )
-    except (OSError, json.JSONDecodeError, TypeError, ValueError) as exc:
+    except (TypeError, ValueError) as exc:
         raise DataError(f"{path}: invalid windows file: {exc}") from exc
     return DateWindows(windows)

@@ -81,9 +81,10 @@ class ParamBounds:
     def upper(self) -> np.ndarray:
         return np.array([self.mu[1], self.sigma[1], self.alpha[1], self.beta[1]])
 
-    def contains(self, params: RegimeParams, tol: float = 1e-12) -> bool:
+    def contains(self, params: RegimeParams) -> bool:
+        """Whether params lie in the box, up to 1e-12 past either face."""
         x = params.as_array()
-        return bool(np.all(x >= self.lower() - tol) and np.all(x <= self.upper() + tol))
+        return bool(np.all(x >= self.lower() - 1e-12) and np.all(x <= self.upper() + 1e-12))
 
     def clip(self, x: np.ndarray) -> np.ndarray:
         return np.clip(x, self.lower(), self.upper())
@@ -324,7 +325,7 @@ def mde_fit(
     return FitResult(RegimeParams.from_array(res.x), float(res.fun), bool(res.success), str(res.message))
 
 
-def kde(samples, x, bandwidth: float | None = None):
+def kde(samples, x):
     """Gaussian kernel density with the Silverman bandwidth
     1.06 * std * n^(-1/5); x scalar or array."""
     z = np.asarray(samples, dtype=float)
@@ -333,7 +334,7 @@ def kde(samples, x, bandwidth: float | None = None):
     sd = float(np.std(z, ddof=1))
     if sd == 0.0:
         raise EstimationError("degenerate sample: zero standard deviation")
-    h = bandwidth if bandwidth is not None else 1.06 * sd * z.size ** (-0.2)
+    h = 1.06 * sd * z.size ** (-0.2)
     x_arr = np.atleast_1d(np.asarray(x, dtype=float))
     out = np.empty(x_arr.shape)
     chunk = max(1, int(2e7) // z.size)

@@ -10,8 +10,8 @@ bias.
 
 from __future__ import annotations
 
+import functools
 import math
-from collections import OrderedDict
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -278,14 +278,15 @@ class FrozenTerminalSampler:
         for state, span in ((1, tau), (2, horizon - tau)):
             idx = np.flatnonzero(span > 0)
             if idx.size:
+                dur = span[idx]
                 draws = tuple(f(idx.size) for f in (rng.random, rng.standard_normal) * 2)  # u, nu, z, N
-                self._rounds.append((idx, span[idx], state, draws, OrderedDict()))
+                self._rounds.append((idx, dur, state, draws, _kept_increments(family, dur, *draws[:3])))
 
     def evaluate(self, theta1: RegimeParams, theta2: RegimeParams) -> np.ndarray:
         z = np.zeros(self.n_paths)
-        for idx, dur, state, (u, nu, zz, nrm), kept in self._rounds:
+        for idx, dur, state, (u, nu, zz, nrm), increment in self._rounds:
             prm = theta1 if state == 1 else theta2
-            dl = self._increment(prm, dur, u, nu, zz, kept)
+            dl = self._increment(prm, increment)
             z[idx] += prm.mu * dl + prm.sigma * np.sqrt(dl) * nrm
         return z
 
@@ -309,13 +310,13 @@ class FrozenTerminalSampler:
         slope's 1 / sqrt(L) would be infinite.
         """
         jac = np.zeros((8, weights.shape[0]))
-        for idx, dur, state, (u, nu, zz, nrm), kept in self._rounds:
+        for idx, dur, state, (u, nu, zz, nrm), increment in self._rounds:
             prm = theta1 if state == 1 else theta2
-            dl = self._increment(prm, dur, u, nu, zz, kept)
+            dl = self._increment(prm, increment)
             root = np.sqrt(dl)
             if self.family is Family.GAMMA:
                 alpha_h = prm.alpha * (1.0 + _GAMMA_ALPHA_REL_STEP)
-                dl_h = self._increment(replace(prm, alpha=alpha_h), dur, u, nu, zz, kept)
+                dl_h = self._increment(replace(prm, alpha=alpha_h), increment)
                 d_alpha = (prm.mu * (dl_h - dl) + prm.sigma * (np.sqrt(dl_h) - root) * nrm) / (
                     alpha_h - prm.alpha
                 )
@@ -330,18 +331,21 @@ class FrozenTerminalSampler:
             jac[rows] += np.stack([dl, root * nrm, d_alpha, d_beta]) @ np.take(weights, idx, axis=1).T
         return jac.T
 
-    def _increment(self, prm: RegimeParams, dur, u, nu, zz, kept: OrderedDict) -> np.ndarray:
-        beta_free = self.family is Family.GAMMA
-        key = prm.alpha if beta_free else (prm.alpha, prm.beta)
-        dl = kept.get(key)
-        if dl is None:
-            spec = SubordinatorSpec(self.family, prm.alpha, 1.0 if beta_free else prm.beta)
-            dl = kept[key] = increment_from_draws(spec, dur, u, nu, zz)
-            if len(kept) > _KEPT_INCREMENTS:
-                kept.popitem(last=False)
-        else:
-            kept.move_to_end(key)
-        return dl / prm.beta if beta_free else dl
+    def _increment(self, prm: RegimeParams, increment) -> np.ndarray:
+        if self.family is Family.GAMMA:
+            return increment(prm.alpha, 1.0) / prm.beta
+        return increment(prm.alpha, prm.beta)
+
+
+def _kept_increments(family: Family, dur, u, nu, zz):
+    """A leg's subordinator increment as a function of (alpha, beta), the
+    last _KEPT_INCREMENTS of them kept (least recently used out)."""
+
+    @functools.lru_cache(maxsize=_KEPT_INCREMENTS)
+    def increment(alpha: float, beta: float) -> np.ndarray:
+        return increment_from_draws(SubordinatorSpec(family, alpha, beta), dur, u, nu, zz)
+
+    return increment
 
 
 def _ig_increment_grad(alpha: float, beta: float, dur, nu, zz, dl):

@@ -76,13 +76,19 @@ class SwitchingModel:
     def __post_init__(self) -> None:
         if len(self.regimes) != 2:
             raise ValueError("exactly two regimes required")
-        if self.lambda12 < 0 or self.lambda21 < 0:
-            raise ValueError("switching intensities must be >= 0")
-        if not self.s0 > 0:
-            raise ValueError(f"s0 must be > 0, got {self.s0}")
+        check_market(self.lambda12, self.lambda21, self.s0)
 
     def intensity_leaving(self, state: int) -> float:
         return self.lambda12 if state == 1 else self.lambda21
+
+
+def check_market(lambda12: float, lambda21: float, s0: float) -> None:
+    """The market data a model and a calibration share: intensities >= 0
+    and a spot s0 > 0; raises ValueError otherwise, NaN included."""
+    if not (lambda12 >= 0 and lambda21 >= 0):
+        raise ValueError("switching intensities must be >= 0")
+    if not s0 > 0:
+        raise ValueError(f"s0 must be > 0, got {s0}")
 
 
 def mean_sojourn_to_intensity(mean_sojourn_years: float) -> float:

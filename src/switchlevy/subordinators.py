@@ -147,11 +147,8 @@ def sample_increment(spec: SubordinatorSpec, dt, rng: np.random.Generator, size=
     if spec.family is Family.GAMMA:
         return rng.gamma(shape=spec.alpha * dt, scale=1.0 / spec.beta, size=size)
     if spec.family is Family.INVERSE_GAUSSIAN:
-        mean = spec.alpha * dt / spec.beta
-        shape = (spec.alpha * dt) ** 2
         nu = rng.standard_normal(size)
-        z = rng.random(size)
-        return _ig_transform(mean, shape, nu, z)
+        return increment_from_draws(spec, dt, None, nu, rng.random(size))
     raise ValueError(f"unknown family {spec.family}")  # pragma: no cover
 
 

@@ -68,6 +68,21 @@ class TestQuoteTable:
             sl.QuoteTable((row,))
 
 
+class TestCalibContext:
+    @pytest.mark.parametrize(
+        "l12, l21, s0",
+        [(2.5, 1.0, -20.0), (2.5, 1.0, 0.0), (2.5, 1.0, np.nan), (-1.0, 1.0, 20.0), (2.5, -0.5, 20.0),
+         (np.nan, 1.0, 20.0)],
+    )
+    def test_rejects_what_a_model_rejects(self, l12, l21, s0):
+        regimes = (sl.RegimeParams(0.0, 0.3, 1.0, 1.0),) * 2
+        with pytest.raises(ValueError) as model_error:
+            sl.SwitchingModel(regimes, l12, l21, IG, s0, 0.04)
+        with pytest.raises(ValueError) as context_error:
+            _context(l12=l12, l21=l21, s0=s0)
+        assert str(context_error.value) == str(model_error.value)
+
+
 class TestObjective:
     def test_two_dollar_gap_gives_j_two(self):
         ctx = _context()
@@ -306,7 +321,7 @@ class TestJacobian:
         interval_at = sl.cos.truncation_interval
         monkeypatch.setattr(
             sl.cos, "truncation_interval",
-            lambda cf, config: held.setdefault(cf.t, interval_at(cf, config)),
+            lambda cf, config: held.setdefault(tuple(np.ravel(cf.t)), interval_at(cf, config)),
         )
         state.residuals(*theta)
         fd = np.empty_like(jac)

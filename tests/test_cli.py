@@ -292,6 +292,51 @@ class TestCalibrateCommand:
         assert not (tmp_path / "o.json").exists()
 
 
+class TestCalibrateInputFiles:
+    """A bad --market or --init file exits 2, names the file and writes nothing."""
+
+    MARKET = {"s0": 20.0, "r": 0.04, "lambda12": 2.5, "lambda21": 1.0}
+
+    def _run(self, tmp_path, capsys, quotes, market, init=None):
+        qf = tmp_path / "quotes.csv"
+        qf.write_text("maturity,strike,kind,mid\n" + quotes)
+        mf = tmp_path / "market.json"
+        mf.write_text(market if isinstance(market, str) else json.dumps(market))
+        argv = ["calibrate", "--quotes", str(qf), "--market", str(mf), "--out", str(tmp_path / "o.json"),
+                "--family", "ig", "--max-iters", "3", "--mc-paths", "500"]
+        if init is not None:
+            (tmp_path / "init.json").write_text(init)
+            argv += ["--init", str(tmp_path / "init.json")]
+        code = main(argv)
+        assert code == 2
+        assert not (tmp_path / "o.json").exists()
+        return capsys.readouterr().err
+
+    @pytest.mark.parametrize("text", ["{s0: 20}", "", '{"s0": 20.0,'])
+    def test_malformed_market_json(self, tmp_path, capsys, text):
+        err = self._run(tmp_path, capsys, "1.0,20,call,2.0\n", text)
+        assert str(tmp_path / "market.json") in err
+
+    @pytest.mark.parametrize("text", ["{regimes: []}", "[", "not json"])
+    def test_malformed_init_json(self, tmp_path, capsys, text):
+        err = self._run(tmp_path, capsys, "1.0,20,call,2.0\n", self.MARKET, init=text)
+        assert str(tmp_path / "init.json") in err
+
+    @pytest.mark.parametrize(
+        "quotes", ["1.0,20,put,1.5\n", "0.5,20,call,1.2\n0.5,24,call,0.3\n"], ids=["put", "otm-call"]
+    )
+    @pytest.mark.parametrize(
+        "field, value, message",
+        [("s0", -20.0, "s0 must be > 0"), ("s0", 0.0, "s0 must be > 0"),
+         ("lambda12", -1.0, "intensities must be >= 0"), ("lambda21", -0.5, "intensities must be >= 0"),
+         ("lambda12", float("nan"), "intensities must be >= 0")],
+    )
+    def test_invalid_market_values(self, tmp_path, capsys, quotes, field, value, message):
+        err = self._run(tmp_path, capsys, quotes, {**self.MARKET, field: value})
+        assert str(tmp_path / "market.json") in err
+        assert message in err
+
+
 class TestBsCheckCommand:
     def test_cos_column_matches_closed_form(self, capsys):
         assert main(["bs-check", "--seed", "7", "--paths", "20000"]) == 0
