@@ -14,7 +14,7 @@ fitted jointly.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 
 import numpy as np
 
@@ -83,7 +83,8 @@ class CalibConfig:
 @dataclass(frozen=True)
 class CalibContext:
     """Fixed market data for the calibration: the intensities come from
-    the historical segmentation, not from the quotes."""
+    the historical segmentation, not from the quotes. family may be given
+    by its string value."""
 
     family: Family
     lambda12: float
@@ -92,6 +93,7 @@ class CalibContext:
     r: float
 
     def __post_init__(self) -> None:
+        object.__setattr__(self, "family", Family(self.family))
         check_market(self.lambda12, self.lambda21, self.s0)
 
 
@@ -239,8 +241,13 @@ def calibrate(
     lower = np.concatenate([bounds.lower()] * 2)
     upper = np.concatenate([bounds.upper()] * 2)
     x0 = np.concatenate([init[0].as_array(), init[1].as_array()])
-    if np.any(x0 < lower) or np.any(x0 > upper):
-        raise CalibrationError("initial parameters are outside the bounds")
+    outside = np.flatnonzero((x0 < lower) | (x0 > upper))
+    if outside.size:
+        k = outside[0]
+        raise CalibrationError(
+            f"initial regime {k // 4 + 1} {fields(RegimeParams)[k % 4].name} = {x0[k]} is outside "
+            f"the bounds [{lower[k]}, {upper[k]}]"
+        )
 
     def unpack(v: np.ndarray) -> tuple[RegimeParams, RegimeParams]:
         return RegimeParams.from_array(v[:4]), RegimeParams.from_array(v[4:])

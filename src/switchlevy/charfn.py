@@ -82,9 +82,9 @@ def regime_char_exponent_grad(params: RegimeParams, family: Family, u) -> np.nda
     u = np.asarray(u, dtype=complex)
     s = 1j * params.mu * u - 0.5 * params.sigma**2 * u * u
     spec, a, b = spec_for(params, family), params.alpha, params.beta
-    if family is Family.IDENTITY:
+    if spec.family is Family.IDENTITY:
         slope, d_alpha, d_beta = np.ones_like(s), np.zeros_like(s), np.zeros_like(s)
-    elif family is Family.GAMMA:
+    elif spec.family is Family.GAMMA:
         slope = a / (b - s)
         d_alpha, d_beta = -_gamma_log(spec, s), -s * slope / b
     else:
@@ -312,9 +312,9 @@ def risk_neutral_drift(params: RegimeParams, family: Family, r: float) -> float:
     spec = spec_for(params, family)
     half_var = 0.5 * params.sigma**2
 
-    if family is Family.IDENTITY:
+    if spec.family is Family.IDENTITY:
         return r - half_var
-    if family is Family.INVERSE_GAUSSIAN and params.beta < r / params.alpha:
+    if spec.family is Family.INVERSE_GAUSSIAN and params.beta < r / params.alpha:
         raise ValueError(
             "no martingale drift: IG family requires beta >= r/alpha "
             f"(beta={params.beta}, r/alpha={r / params.alpha})"
@@ -344,11 +344,11 @@ def risk_neutral_drift(params: RegimeParams, family: Family, r: float) -> float:
                 hi = cand
                 break
         if hi is None:
-            if family is Family.INVERSE_GAUSSIAN:
+            if spec.family is Family.INVERSE_GAUSSIAN:
                 return sup - half_var
             raise ValueError(
                 "no martingale drift found within the exponent domain "
-                f"(family={family.value}, r={r})"
+                f"(family={spec.family.value}, r={r})"
             )
 
     mu = brentq(resid, lo, hi, xtol=1e-15, rtol=8.9e-16, maxiter=200)

@@ -59,7 +59,7 @@ def cmd_price(args) -> int:
         header = ["maturity", "strike", "kind", "price", "method", "std_error", "ci_lo", "ci_hi", "n_paths"]
         rows = []
         for c in contracts:
-            res = price_european_mc(model, c, args.paths, dt=args.dt, rng=rng, seed=args.seed)
+            res = price_european_mc(model, c, args.paths, dt=args.dt, seed=rng)
             rows.append(
                 [c.maturity, c.strike, c.kind.value, repr(res.price), "mc",
                  repr(res.std_error), repr(res.ci95[0]), repr(res.ci95[1]), res.n_paths]
@@ -138,7 +138,7 @@ def cmd_estimate(args) -> int:
 
 def cmd_calibrate(args) -> int:
     quotes = load_quotes(args.quotes)
-    ctx = load_market(args.market, Family(args.family))
+    ctx = load_market(args.market, args.family)
     init = load_init(args.init) if args.init else CALIBRATION_START
     config = CalibConfig(max_iters=args.max_iters, mc_paths=args.mc_paths, mc_seed=args.seed)
     result = calibrate(quotes, ctx, init, config=config)
@@ -172,7 +172,7 @@ def cmd_bs_check(args) -> int:
         contract = ContractSpec(strike, maturity, OptionKind.CALL)
         cos_price = price_table(model, [contract])[0]
         bs_price = bs_closed_form(BS_CHECK_S0, strike, r, sigma, maturity, OptionKind.CALL)
-        res = price_european_mc(model, contract, args.paths, rng=rng, seed=args.seed)
+        res = price_european_mc(model, contract, args.paths, seed=rng)
         print(
             f"({maturity:g},{strike:g},{r:g},{sigma:g})".rjust(22)
             + f" | {cos_price:10.4f} | {bs_price:10.4f} | {res.price:10.4f}"

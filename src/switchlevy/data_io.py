@@ -184,7 +184,7 @@ def model_from_dict(doc: dict) -> SwitchingModel:
             regimes=regimes_from_dict(doc),
             lambda12=float(doc["lambda12"]),
             lambda21=float(doc["lambda21"]),
-            family=Family(doc["family"]),
+            family=doc["family"],
             s0=float(doc["s0"]),
             r=float(doc["r"]),
         )
@@ -204,9 +204,10 @@ def load_model(path) -> SwitchingModel:
         raise DataError(f"{path}: {exc}") from exc
 
 
-def load_market(path, family: Family) -> CalibContext:
+def load_market(path, family: Family | str) -> CalibContext:
     """Read a market JSON (s0, r, lambda12, lambda21) into the fixed market
-    data of a calibration with subordinator family `family`."""
+    data of a calibration with subordinator family `family` (a Family or
+    its string value)."""
     doc = _read_json(path)
     try:
         return CalibContext(family, *(float(doc[key]) for key in ("lambda12", "lambda21", "s0", "r")))

@@ -21,7 +21,7 @@ from numpy.polynomial.hermite import hermgauss
 
 from .charfn import increment_cumulants, regime_char_exponent
 from .mc import FrozenTerminalSampler
-from .regime import TRADING_DT, Family, RegimeParams
+from .regime import TRADING_DT, Family, RegimeParams, mean_sojourn_to_intensity
 
 DENSITY_FLOOR = 1e-300
 
@@ -175,11 +175,8 @@ def holding_rates(labels, dt: float = TRADING_DT, require_both: bool = True) -> 
             sojourn[j] = math.nan
         else:
             sojourn[j] = days * dt / runs
-
-    def inv(v: float) -> float:
-        return math.nan if math.isnan(v) else 1.0 / v
-
-    return HoldingRates(sojourn[1], sojourn[2], inv(sojourn[1]), inv(sojourn[2]))
+    rates = (mean_sojourn_to_intensity(sojourn[j]) for j in (1, 2))
+    return HoldingRates(sojourn[1], sojourn[2], *rates)
 
 
 def split_by_regime(series: ReturnSeries, labels) -> dict[int, ReturnSeries]:
@@ -200,15 +197,30 @@ def empirical_cf(returns, u):
     z = np.asarray(returns, dtype=float)
     if z.size == 0:
         raise EstimationError("empty sample")
-    u_arr = np.atleast_1d(np.asarray(u, dtype=float))
-    out = np.empty(u_arr.shape, dtype=complex)
-    chunk = max(1, int(5e7) // max(z.size, 1))
-    for i in range(0, u_arr.size, chunk):
-        blk = u_arr[i : i + chunk]
-        out[i : i + blk.size] = np.exp(1j * np.outer(blk, z)).mean(axis=1)
-    if np.isscalar(u) or np.asarray(u).ndim == 0:
-        return complex(out[0])
+    out = _kernel_mean(lambda blk: np.exp(1j * (blk * z)), u, z.size, complex)
+    return complex(out[0]) if np.ndim(u) == 0 else out
+
+
+# (point, sample) pairs per block of `_kernel_mean`
+_KERNEL_BLOCK_PAIRS = int(2e7)
+
+
+def _kernel_mean(kernel, x, n_samples: int, dtype) -> np.ndarray:
+    """kernel(blk).mean(axis=1) for the points x (scalar or 1-D), taken in
+    blocks of about _KERNEL_BLOCK_PAIRS point-sample pairs: blk is a column
+    of points, and kernel maps it to a (points, n_samples) array."""
+    x_arr = np.atleast_1d(np.asarray(x, dtype=float))
+    out = np.empty(x_arr.shape, dtype=dtype)
+    chunk = max(1, _KERNEL_BLOCK_PAIRS // n_samples)
+    for i in range(0, x_arr.size, chunk):
+        blk = x_arr[i : i + chunk, None]
+        out[i : i + blk.shape[0]] = kernel(blk).mean(axis=1)
     return out
+
+
+def _silverman_bandwidth(z: np.ndarray) -> float:
+    """Silverman's rule of thumb 1.06 * std * n^(-1/5) for a Gaussian kernel."""
+    return 1.06 * float(np.std(z, ddof=1)) * z.size ** (-0.2)
 
 
 def theoretical_moments(params: RegimeParams, family: Family, dt: float) -> np.ndarray:
@@ -331,20 +343,12 @@ def kde(samples, x):
     z = np.asarray(samples, dtype=float)
     if z.size < 2:
         raise EstimationError("need at least 2 samples for a density estimate")
-    sd = float(np.std(z, ddof=1))
-    if sd == 0.0:
+    h = _silverman_bandwidth(z)
+    if h == 0.0:
         raise EstimationError("degenerate sample: zero standard deviation")
-    h = 1.06 * sd * z.size ** (-0.2)
-    x_arr = np.atleast_1d(np.asarray(x, dtype=float))
-    out = np.empty(x_arr.shape)
-    chunk = max(1, int(2e7) // z.size)
-    for i in range(0, x_arr.size, chunk):
-        blk = x_arr[i : i + chunk, None]
-        out[i : i + blk.shape[0]] = np.exp(-0.5 * ((blk - z) / h) ** 2).mean(axis=1)
+    out = _kernel_mean(lambda blk: np.exp(-0.5 * ((blk - z) / h) ** 2), x, z.size, float)
     out /= h * math.sqrt(2.0 * math.pi)
-    if np.isscalar(x) or np.asarray(x).ndim == 0:
-        return float(out[0])
-    return out
+    return float(out[0]) if np.ndim(x) == 0 else out
 
 
 def _binned_kde_at(sim: np.ndarray, pts: np.ndarray) -> np.ndarray:
@@ -356,8 +360,7 @@ def _binned_kde_at(sim: np.ndarray, pts: np.ndarray) -> np.ndarray:
     peak density, the same order as the KDE's own sampling error.
     """
     n = sim.size
-    sd = float(np.std(sim, ddof=1))
-    h = max(1.06 * sd * n ** (-0.2), 1e-12)
+    h = max(_silverman_bandwidth(sim), 1e-12)
     lo = min(sim.min(), pts.min()) - 8.0 * h
     hi = max(sim.max(), pts.max()) + 8.0 * h
     n_grid = int(np.clip(math.ceil((hi - lo) / (h / 4.0)) + 1, 512, 1 << 17))

@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import functools
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -62,17 +62,14 @@ class McResult:
     std_error: float
     ci95: tuple[float, float]
     n_paths: int
-    seed: int | None = None
 
 
 def simulate_path(
     model: SwitchingModel, horizon: float, dt: float, rng: np.random.Generator
 ) -> PricePath:
     """Simulate one path on the dt grid refined by the exact switch times."""
-    if not 0 < dt <= horizon:
-        raise ValueError("need 0 < dt <= horizon")
+    n_steps = _steps(horizon, dt)
     rp = simulate_regime_path(model, horizon, rng)
-    n_steps = int(math.ceil(horizon / dt - 1e-12))
     base = np.linspace(0.0, horizon, n_steps + 1)
     times = np.unique(np.concatenate([base, rp.switch_times]))
     # regime active at each grid time: count switches at or before t
@@ -88,6 +85,14 @@ def simulate_path(
         prm = model.regimes[j]
         z[i + 1] = z[i] + prm.mu * dl + prm.sigma * math.sqrt(dl) * rng.standard_normal()
     return PricePath(times, z, regimes)
+
+
+def _steps(horizon: float, dt: float) -> int:
+    """Steps of the dt grid on [0, horizon], the last one shorter when dt
+    does not divide the horizon; needs 0 < dt <= horizon."""
+    if not 0 < dt <= horizon:
+        raise ValueError("need 0 < dt <= horizon")
+    return int(math.ceil(horizon / dt - 1e-12))
 
 
 def _draw_sojourns(rate: float, size: int, rng: np.random.Generator) -> np.ndarray:
@@ -111,20 +116,17 @@ def sample_terminal(
     each draw sees a single regime. Every pass draws regime 1's increments
     and normals, then regime 2's, then one exponential per switch.
     """
-    if not 0 < dt <= horizon:
-        raise ValueError("need 0 < dt <= horizon")
+    n_steps = _steps(horizon, dt)
     params = model.regimes
     specs = (spec_for(params[0], model.family), spec_for(params[1], model.family))
     z = np.zeros(n_paths)
     state = np.ones(n_paths, dtype=np.int8)
     next_switch = _draw_sojourns(model.lambda12, n_paths, rng)
-
-    n_steps = int(math.ceil(horizon / dt - 1e-12))
     t = 0.0
     for step in range(n_steps):
         t_end = min(horizon, (step + 1) * dt)
         rows, t_cur = None, t  # the first pass: every path, from the step start
-        for _pass in range(100000):
+        while True:
             ends = next_switch if rows is None else next_switch[rows]
             dur = np.minimum(ends, t_end)
             dur -= t_cur
@@ -141,19 +143,16 @@ def sample_terminal(
                 rates > 0, rng.exponential(1.0, rows.size) / np.maximum(rates, 1e-300), np.inf
             )
             next_switch[rows] += fresh
-        else:  # pragma: no cover
-            raise RuntimeError("switch handling did not terminate")
         t = t_end
     return z
 
 
 def _advance(z, rows, dur, regime1, params, specs, rng) -> None:
-    """Add mu*dL + sigma*sqrt(dL)*N to the paths z[rows] (all paths for rows
-    None) over their durations dur, regime 1's paths first; a path with dur
-    <= 0 stays. Each regime's paths are taken by an index array, which
-    gathers and scatters several times faster than a boolean mask with the
-    regimes interleaved. The sum is formed in place with the operands of
-    mu*dL + (sigma*sqrt(dL))*N, so its bits are those of that formula."""
+    """Add mu*dL + sigma*sqrt(dL)*N (`_leg`) to the paths z[rows] (all
+    paths for rows None) over their durations dur, regime 1's paths first;
+    a path with dur <= 0 stays. Each regime's paths are taken by an index
+    array, which gathers and scatters several times faster than a boolean
+    mask with the regimes interleaved."""
     groups = (regime1, ~regime1)
     if not dur.min(initial=np.inf) > 0:
         moving = dur > 0
@@ -162,12 +161,17 @@ def _advance(z, rows, dur, regime1, params, specs, rng) -> None:
         sel = np.flatnonzero(grp)
         if sel.size:
             dl = sample_increment(spec, dur[sel], rng)
-            noise = np.sqrt(dl)
-            noise *= prm.sigma
-            noise *= rng.standard_normal(dl.size)
-            dl *= prm.mu
-            dl += noise
-            z[sel if rows is None else rows[sel]] += dl
+            z[sel if rows is None else rows[sel]] += _leg(prm, dl, rng.standard_normal(dl.size))
+
+
+def _leg(prm: RegimeParams, dl: np.ndarray, normals: np.ndarray) -> np.ndarray:
+    """mu*dL + sigma*sqrt(dL)*N on clock increments dl and normals N, with
+    the bits of that formula; dl is only read, never written."""
+    out = np.sqrt(dl)
+    out *= prm.sigma
+    out *= normals
+    out += prm.mu * dl
+    return out
 
 
 def option_payoff(s_t: np.ndarray, strike: float, kind: OptionKind) -> tuple[np.ndarray, np.ndarray]:
@@ -187,29 +191,31 @@ def price_european_mc(
     contract: ContractSpec,
     n_paths: int,
     dt: float = TRADING_DT,
-    rng: np.random.Generator | None = None,
-    seed: int | None = None,
+    seed: int | np.random.Generator | None = None,
 ) -> McResult:
     """Discounted mean payoff with a 95% confidence interval.
 
+    seed is an int, a Generator or None, and the draws come from
+    np.random.default_rng(seed), which returns a Generator unchanged: a
+    caller pricing several contracts from one stream passes its Generator.
+    The result holds price, std_error, ci95 and n_paths.
+
     The paths are cut into B = ceil(n_paths / 65,536) blocks of equal
     size: block k holds paths [n_paths*k // B, n_paths*(k+1) // B) and
-    draws from the k-th stream spawned from rng, so the result depends
-    only on the seed and n_paths, whatever the CPU count. At most 65,536
-    paths, or a multiple of 65,536, is the layout of fixed 65,536-path
-    blocks that earlier versions used, with the same draws; other counts
-    draw the same law from other draws. The blocks run concurrently on
-    min(B, usable CPUs) threads, the calling thread among them, each
-    writing its slice of one terminal array, so on two CPUs 100k paths
-    are two 50,000-path blocks, one per CPU. One call's working memory is
-    that many blocks. One block runs on the calling thread alone.
+    draws from the k-th stream spawned from that Generator, so the result
+    depends only on the seed and n_paths, whatever the CPU count. At most
+    65,536 paths, or a multiple of 65,536, is the layout of fixed
+    65,536-path blocks that earlier versions used, with the same draws;
+    other counts draw the same law from other draws. The blocks run
+    concurrently on min(B, usable CPUs) threads, the calling thread among
+    them, each writing its slice of one terminal array, so on two CPUs
+    100k paths are two 50,000-path blocks, one per CPU. One call's working
+    memory is that many blocks. One block runs on the calling thread alone.
     """
     if n_paths < 100:
         raise ValueError("n_paths must be >= 100")
-    if rng is None:
-        rng = np.random.default_rng(seed)
     n_blocks = (n_paths + _BLOCK - 1) // _BLOCK
-    streams = rng.spawn(n_blocks)
+    streams = np.random.default_rng(seed).spawn(n_blocks)
     blocks = _even_ranges(n_paths, n_blocks)
     s_t = np.empty(n_paths)
 
@@ -225,7 +231,7 @@ def price_european_mc(
     disc = math.exp(-model.r * contract.maturity)
     price = disc * float(payoff.mean())
     se = disc * float(payoff.std(ddof=1)) / math.sqrt(n_paths)
-    return McResult(price, se, (price - Z95 * se, price + Z95 * se), n_paths, seed)
+    return McResult(price, se, (price - Z95 * se, price + Z95 * se), n_paths)
 
 
 class FrozenTerminalSampler:
@@ -249,7 +255,8 @@ class FrozenTerminalSampler:
     mu or sigma, or in beta for Gamma, reuse that point's increment. A
     Gamma leg's transform depends on alpha alone: its increment is kept
     for beta = 1 and divided by beta, as the transform does. A reused
-    evaluation is bit-for-bit the one a fresh sampler gives.
+    evaluation is bit-for-bit the one a fresh sampler gives. family may
+    be given by its string value.
     """
 
     def __init__(
@@ -263,7 +270,7 @@ class FrozenTerminalSampler:
     ):
         if not horizon > 0 or n_paths < 1:
             raise ValueError("need horizon > 0 and n_paths >= 1")
-        self.family = family
+        self.family = family = Family(family)
         self.n_paths = n_paths
         rng = np.random.default_rng(seed)
         tau, left = np.zeros(n_paths), np.full(n_paths, float(horizon))  # time in regime 1, to go
@@ -286,8 +293,7 @@ class FrozenTerminalSampler:
         z = np.zeros(self.n_paths)
         for idx, dur, state, (u, nu, zz, nrm), increment in self._rounds:
             prm = theta1 if state == 1 else theta2
-            dl = self._increment(prm, increment)
-            z[idx] += prm.mu * dl + prm.sigma * np.sqrt(dl) * nrm
+            z[idx] += _leg(prm, self._increment(prm, increment), nrm)
         return z
 
     def weighted_gradient(self, theta1: RegimeParams, theta2: RegimeParams, weights: np.ndarray) -> np.ndarray:
@@ -316,7 +322,7 @@ class FrozenTerminalSampler:
             root = np.sqrt(dl)
             if self.family is Family.GAMMA:
                 alpha_h = prm.alpha * (1.0 + _GAMMA_ALPHA_REL_STEP)
-                dl_h = self._increment(replace(prm, alpha=alpha_h), increment)
+                dl_h = increment(alpha_h, 1.0) / prm.beta
                 d_alpha = (prm.mu * (dl_h - dl) + prm.sigma * (np.sqrt(dl_h) - root) * nrm) / (
                     alpha_h - prm.alpha
                 )
@@ -339,11 +345,14 @@ class FrozenTerminalSampler:
 
 def _kept_increments(family: Family, dur, u, nu, zz):
     """A leg's subordinator increment as a function of (alpha, beta), the
-    last _KEPT_INCREMENTS of them kept (least recently used out)."""
+    last _KEPT_INCREMENTS of them kept (least recently used out). A kept
+    array is read-only, so no caller can corrupt a later evaluation."""
 
     @functools.lru_cache(maxsize=_KEPT_INCREMENTS)
     def increment(alpha: float, beta: float) -> np.ndarray:
-        return increment_from_draws(SubordinatorSpec(family, alpha, beta), dur, u, nu, zz)
+        dl = increment_from_draws(SubordinatorSpec(family, alpha, beta), dur, u, nu, zz)
+        dl.flags.writeable = False
+        return dl
 
     return increment
 

@@ -33,6 +33,7 @@ class RegimeParams:
 
     mu is the drift per unit of subordinated time, sigma the diffusion
     coefficient, and (alpha, beta) the shape/rate of the subordinator.
+    Every entry must be finite, and sigma, alpha and beta > 0.
     """
 
     mu: float
@@ -41,6 +42,8 @@ class RegimeParams:
     beta: float
 
     def __post_init__(self) -> None:
+        if not all(math.isfinite(v) for v in (self.mu, self.sigma, self.alpha, self.beta)):
+            raise ValueError(f"parameters must be finite, got {self}")
         if not self.sigma > 0:
             raise ValueError(f"sigma must be > 0, got {self.sigma}")
         if not self.alpha > 0:
@@ -63,7 +66,8 @@ class SwitchingModel:
     lambda12/lambda21 are switching intensities per year (rate of leaving
     regime 1 resp. 2); the mean sojourn in regime 1 is 1/lambda12 years.
     A zero intensity makes the regime absorbing. The chain starts in
-    regime 1 with probability one.
+    regime 1 with probability one. family may be given by its string
+    value ("gamma", "ig", "identity"); anything else raises ValueError.
     """
 
     regimes: tuple[RegimeParams, RegimeParams]
@@ -76,6 +80,7 @@ class SwitchingModel:
     def __post_init__(self) -> None:
         if len(self.regimes) != 2:
             raise ValueError("exactly two regimes required")
+        object.__setattr__(self, "family", Family(self.family))
         check_market(self.lambda12, self.lambda21, self.s0)
 
     def intensity_leaving(self, state: int) -> float:

@@ -395,3 +395,18 @@ def test_is_otm_rule():
     assert not is_otm(sl.QuoteRow(1.0, 21.0, CALL, 1.0), 20.0, cfg)
     assert is_otm(sl.QuoteRow(1.0, 18.0, PUT, 1.0), 20.0, cfg)
     assert not is_otm(sl.QuoteRow(1.0, 19.5, PUT, 1.0), 20.0, cfg)
+
+
+def test_init_outside_bounds_names_the_value():
+    ctx = _context()
+    quotes = _synthetic_quotes(ctx, _true_params(ctx), (1.0,), (1.0,))
+    bad = (sl.RegimeParams(0.0, 0.3, 1.0, 1.0), sl.RegimeParams(0.0, 0.3, 200.0, 1.0))
+    with pytest.raises(sl.CalibrationError) as err:
+        sl.calibrate(quotes, ctx, bad)
+    assert str(err.value) == "initial regime 2 alpha = 200.0 is outside the bounds [1e-06, 100.0]"
+
+
+def test_context_takes_family_by_value():
+    assert sl.CalibContext("gamma", 2.5, 1.0, 20.0, 0.04).family is GAMMA
+    with pytest.raises(ValueError):
+        sl.CalibContext("cauchy", 2.5, 1.0, 20.0, 0.04)

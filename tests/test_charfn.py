@@ -522,3 +522,22 @@ def test_bs_reduction_cf_is_gaussian():
     np.testing.assert_allclose(
         sl.switching_cf(cf, u), np.exp(1j * mu * u - 0.125 * u**2), atol=1e-12
     )
+
+
+class TestFamilyByValue:
+    """A family given by its string value is the family itself."""
+
+    @pytest.mark.parametrize("family", list(sl.Family))
+    def test_exponent_grad(self, family):
+        prm, u = sl.RegimeParams(0.1, 0.4, 1.5, 2.0), np.linspace(-20.0, 20.0, 81)
+        expected = regime_char_exponent_grad(prm, family, u)
+        np.testing.assert_array_equal(regime_char_exponent_grad(prm, family.value, u), expected)
+
+    def test_identity_drift(self):
+        prm = sl.RegimeParams(0.0, 0.5, 1.0, 1.0)
+        assert sl.risk_neutral_drift(prm, "identity", 0.04) == 0.04 - 0.5**2 / 2
+
+    @pytest.mark.parametrize("family", [GAMMA, IG])
+    def test_drift(self, family):
+        prm = sl.RegimeParams(0.0, 0.3, 2.0, 3.0)
+        assert sl.risk_neutral_drift(prm, family.value, 0.04) == sl.risk_neutral_drift(prm, family, 0.04)

@@ -68,6 +68,23 @@ class TestPriceCommand:
         assert header[:6] == ["maturity", "strike", "kind", "price", "method", "std_error"]
         assert float(rows[0][6]) <= float(rows[0][3]) <= float(rows[0][7])
 
+    def test_mc_rows_share_one_generator(self, tmp_path, model_file):
+        """Row k of an mc grid is the k-th price drawn from one generator
+        seeded with --seed, bit for bit."""
+        mf, model = model_file
+        grid = tmp_path / "grid.csv"
+        grid.write_text("maturity,strike,kind\n0.5,20,call\n0.25,18,put\n1.0,23,call\n")
+        out = tmp_path / "prices.csv"
+        code = main(["price", "--model", str(mf), "--grid", str(grid), "--out", str(out),
+                     "--method", "mc", "--paths", "3000", "--seed", "7"])
+        assert code == 0
+        _, rows = _read_csv(out)
+        rng = np.random.default_rng(7)
+        for row, (t, k, kind) in zip(rows, [(0.5, 20.0, "call"), (0.25, 18.0, "put"), (1.0, 23.0, "call")]):
+            res = sl.price_european_mc(model, sl.ContractSpec(k, t, sl.OptionKind(kind)), 3000, seed=rng)
+            assert row[3:] == [repr(res.price), "mc", repr(res.std_error), repr(res.ci95[0]),
+                               repr(res.ci95[1]), "3000"]
+
     def test_missing_model_file_exits_2(self, tmp_path):
         grid = tmp_path / "grid.csv"
         grid.write_text("maturity,strike,kind\n1.0,20,call\n")
@@ -321,6 +338,22 @@ class TestCalibrateInputFiles:
     def test_malformed_init_json(self, tmp_path, capsys, text):
         err = self._run(tmp_path, capsys, "1.0,20,call,2.0\n", self.MARKET, init=text)
         assert str(tmp_path / "init.json") in err
+
+    @pytest.mark.parametrize("field", ["mu", "sigma", "alpha", "beta"])
+    @pytest.mark.parametrize("value", ["NaN", "Infinity"])
+    def test_nonfinite_init_value(self, tmp_path, capsys, field, value):
+        block = {"mu": 0.0, "sigma": 0.3, "alpha": 1.0, "beta": 1.0}
+        text = json.dumps({"regimes": [block, block]})
+        text = text.replace(f'"{field}": {json.dumps(block[field])}', f'"{field}": {value}', 1)
+        err = self._run(tmp_path, capsys, "1.0,20,call,2.0\n", self.MARKET, init=text)
+        assert str(tmp_path / "init.json") in err
+        assert "finite" in err
+
+    def test_init_outside_bounds_names_the_value(self, tmp_path, capsys):
+        block = {"mu": 0.0, "sigma": 0.3, "alpha": 1.0, "beta": 1.0}
+        init = json.dumps({"regimes": [block, {**block, "alpha": 200.0}]})
+        err = self._run(tmp_path, capsys, "1.0,20,call,2.0\n", self.MARKET, init=init)
+        assert "initial regime 2 alpha = 200.0 is outside the bounds [1e-06, 100.0]" in err
 
     @pytest.mark.parametrize(
         "quotes", ["1.0,20,put,1.5\n", "0.5,20,call,1.2\n0.5,24,call,0.3\n"], ids=["put", "otm-call"]

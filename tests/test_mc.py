@@ -507,3 +507,47 @@ class TestFrozenTerminalSampler:
 def test_price_path_validation():
     with pytest.raises(ValueError):
         sl.PricePath(np.array([0.0, 1.0]), np.array([0.0]), np.array([1, 1]))
+
+
+class TestFamilyByValueAndKeptIncrements:
+    P1, P2 = sl.RegimeParams(0.1, 0.4, 1.5, 2.0), sl.RegimeParams(-0.1, 0.6, 1.0, 1.2)
+
+    @pytest.mark.parametrize("family", list(sl.Family))
+    def test_frozen_sampler_takes_family_by_value(self, family):
+        by_value = sl.FrozenTerminalSampler(family.value, 3.0, 2.0, 0.5, 2_000, seed=23)
+        by_member = sl.FrozenTerminalSampler(family, 3.0, 2.0, 0.5, 2_000, seed=23)
+        assert by_value.family is family
+        assert np.array_equal(by_value.evaluate(self.P1, self.P2), by_member.evaluate(self.P1, self.P2))
+        weights = np.random.default_rng(24).random((2, 2_000))
+        assert np.array_equal(
+            by_value.weighted_gradient(self.P1, self.P2, weights),
+            by_member.weighted_gradient(self.P1, self.P2, weights),
+        )
+
+    def test_frozen_sampler_rejects_unknown_family(self):
+        with pytest.raises(ValueError):
+            sl.FrozenTerminalSampler("cauchy", 3.0, 2.0, 0.5, 2_000, seed=23)
+
+    @pytest.mark.parametrize("family", list(sl.Family))
+    def test_kept_increments_are_read_only(self, family):
+        """A write into a kept increment raises, so it cannot change any
+        later evaluation."""
+        sampler = sl.FrozenTerminalSampler(family, 3.0, 2.0, 0.5, 2_000, seed=25)
+        sampler.evaluate(self.P1, self.P2)
+        for idx, _, state, _, increment in sampler._rounds:
+            prm = self.P1 if state == 1 else self.P2
+            kept = increment(prm.alpha, 1.0 if family is sl.Family.GAMMA else prm.beta)
+            with pytest.raises(ValueError):
+                kept[0] = 1.0
+            with pytest.raises(ValueError):
+                kept *= 2.0
+        fresh = sl.FrozenTerminalSampler(family, 3.0, 2.0, 0.5, 2_000, seed=25)
+        assert np.array_equal(sampler.evaluate(self.P1, self.P2), fresh.evaluate(self.P1, self.P2))
+
+
+def test_price_takes_a_generator_as_seed(fig2a_model):
+    contract = sl.ContractSpec(20.0, 0.5, CALL)
+    by_int = sl.price_european_mc(fig2a_model, contract, 5_000, seed=9)
+    by_generator = sl.price_european_mc(fig2a_model, contract, 5_000, seed=np.random.default_rng(9))
+    assert by_int == by_generator
+    assert not hasattr(by_int, "seed")

@@ -143,3 +143,19 @@ class TestValidation:
         assert sl.mean_sojourn_to_intensity(0.2) == pytest.approx(5.0)
         assert sl.intensity_to_mean_sojourn(4.0) == pytest.approx(0.25)
         assert sl.intensity_to_mean_sojourn(0.0) == np.inf
+
+
+class TestFamilyAndFiniteness:
+    @pytest.mark.parametrize("field", ["mu", "sigma", "alpha", "beta"])
+    @pytest.mark.parametrize("value", [float("nan"), float("inf"), float("-inf")])
+    def test_regime_params_reject_nonfinite(self, field, value):
+        kwargs = {**dict(mu=0.0, sigma=1.0, alpha=1.0, beta=1.0), field: value}
+        with pytest.raises(ValueError):
+            sl.RegimeParams(**kwargs)
+
+    def test_model_takes_family_by_value(self):
+        prm = (sl.RegimeParams(0.0, 1.0, 1.0, 1.0),) * 2
+        assert sl.SwitchingModel(prm, 1.0, 1.0, "ig", 20.0, 0.0).family is sl.Family.INVERSE_GAUSSIAN
+        for bad in ("cauchy", 3, None):
+            with pytest.raises(ValueError):
+                sl.SwitchingModel(prm, 1.0, 1.0, bad, 20.0, 0.0)

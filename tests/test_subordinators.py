@@ -311,3 +311,14 @@ class TestSplitGammaInverse:
 
     def test_real_cpu_count_is_positive(self):
         assert sl.subordinators._usable_cpus() >= 1
+
+
+class TestFamilyByValue:
+    @pytest.mark.parametrize("family", list(sl.Family))
+    def test_string_value_is_the_family(self, family):
+        assert sl.SubordinatorSpec(family.value, 1.0, 1.0).family is family
+
+    @pytest.mark.parametrize("bad", ["cauchy", "GAMMA", 0, None])
+    def test_unknown_family_raises_at_construction(self, bad):
+        with pytest.raises(ValueError):
+            sl.SubordinatorSpec(bad, 1.0, 1.0)
