@@ -3,7 +3,9 @@
 The functions that run a solver import scipy.optimize when they are called,
 so importing the package and pricing with set drifts do not load it, and no
 module imports scipy.stats: each would add 17-23 MB and 0.2-0.6 s to every
-run (tests/test_footprint.py).
+run. Pricing, COS or Monte Carlo, loads no scipy.linalg either: the COS
+cumulants are closed forms in the regime occupation time
+(tests/test_footprint.py).
 """
 
 from .calibration import (
@@ -77,6 +79,7 @@ from .regime import (
     generator_matrix,
     intensity_to_mean_sojourn,
     mean_sojourn_to_intensity,
+    occupation_cumulants,
     occupation_fraction,
     simulate_regime_path,
 )

@@ -7,6 +7,12 @@ diverge for large b while the put coefficients stay bounded. The parity
 correction is applied once, after the summation. `price_table` is the one
 pricing kernel; `price_put`, `price_call` and `price_contract` wrap it, and
 `price_table_jacobian` differentiates it in the regime parameters.
+
+The automatic interval comes from the exact cumulants c1, c2, c4 of the log
+return (`log_return_cumulants`), composed from the regimes' unit-time
+cumulants and the cumulants of the time spent in regime 1
+(`regime.occupation_cumulants`), with no matrix exponential. The tests keep
+the Van Loan (1978) block exponential they replaced as their reference.
 """
 
 from __future__ import annotations
@@ -19,7 +25,6 @@ from enum import Enum
 from typing import Sequence
 
 import numpy as np
-from scipy.linalg import expm
 from scipy.special import ndtr
 
 from .charfn import (
@@ -30,7 +35,7 @@ from .charfn import (
     regime_char_exponent_grad,
     switching_cf,
 )
-from .regime import SwitchingModel, generator_matrix
+from .regime import SwitchingModel, occupation_cumulants
 
 
 class PricingError(RuntimeError):
@@ -82,39 +87,41 @@ class CosConfig:
 def log_return_cumulants(cf: CharFn):
     """Exact cumulants c1, c2, c4 of y0 + Z_t, the variable whose CF is cf.
 
-    The moment generating function is E[e^{theta Z_t}] = e_1^T exp(t K) 1
-    with K(theta) = Q + sum_n D_n theta^n / n!, where D_n holds the regimes'
-    unit-time increment cumulants kappa_{j,n} on its diagonal. The
-    exponential of the block upper-triangular Toeplitz matrix with first
-    block row t [Q, D_1, D_2/2!, D_3/3!, D_4/4!] has the Taylor coefficients
-    of exp(t K(theta)) as its first block row (Van Loan 1978), so block n of
-    row 0, summed and times n!, is the raw moment m_n.
+    Given the time tau spent in regime 1, Z_t is the sum of two independent
+    Levy legs run for tau and t - tau, so by the law of total cumulance its
+    cumulant generating function is t k_2(theta) + K_tau(k_1(theta) - k_2(theta)),
+    with k_j(theta) = sum_n kappa_{j,n} theta^n / n! the regimes' unit-time
+    cumulant generating functions and K_tau that of tau. With
+    beta_n = kappa_{1,n} - kappa_{2,n} and tau's cumulants zeta_k
+    (`regime.occupation_cumulants`),
+        c1 = y0 + kappa_{2,1} t + zeta_1 beta_1,
+        c2 = kappa_{2,2} t + zeta_1 beta_2 + zeta_2 beta_1^2,
+        c4 = kappa_{2,4} t + zeta_1 beta_4 + zeta_2 (4 beta_1 beta_3 + 3 beta_2^2)
+             + 6 zeta_3 beta_1^2 beta_2 + zeta_4 beta_1^4.
 
-    The matrix is built once; an array of horizons cf.t takes one batched
-    `expm` over the stack t * matrix and gives three arrays of t's shape.
-    A scalar horizon gives three floats.
+    Each horizon takes one scalar pass, so an array of horizons cf.t gives
+    three arrays of t's shape, equal to the scalar calls', and a scalar
+    horizon gives three floats.
     """
     model = cf.model
-    factorials = np.array([1.0, 2.0, 6.0, 24.0])
-    kappa = np.array([increment_cumulants(p, model.family, 1.0) for p in model.regimes])
-    first = np.zeros((2, 10))  # first block row
-    first[:, :2] = generator_matrix(model)
-    first[0, 2::2], first[1, 3::2] = kappa / factorials  # diagonals of D_n / n!
-    big = np.zeros((10, 10))
-    for r in range(5):  # block n on the n-th block superdiagonal: row r is the first row shifted
-        big[2 * r : 2 * r + 2, 2 * r :] = first[:, : 10 - 2 * r]
+    k1, k2 = (increment_cumulants(p, model.family, 1.0) for p in model.regimes)
+    b1, b2, b3, b4 = (x - y for x, y in zip(k1, k2))
+    b11 = b1 * b1
     t = np.asarray(cf.t, dtype=float)
-    top = expm(t[..., None, None] * big)[..., 0, :]
-    moments = ((top[..., 2::2] + top[..., 3::2]) * factorials).reshape(-1, 4).tolist()
-    cumulants = np.array([
-        (m1 + cf.y0, m2 - m1**2, m4 - 4.0 * m3 * m1 - 3.0 * m2**2 + 12.0 * m2 * m1**2 - 6.0 * m1**4)
-        for m1, m2, m3, m4 in moments
-    ])
-    if not np.isfinite(cumulants).all():
-        raise ValueError(f"non-finite cumulants (c1, c2, c4): {cumulants.tolist()}")
+    cumulants = []
+    for horizon in t.ravel().tolist():
+        z1, z2, z3, z4 = occupation_cumulants(model.lambda12, model.lambda21, horizon)
+        cumulants.append((
+            k2[0] * horizon + z1 * b1 + cf.y0,
+            k2[1] * horizon + z1 * b2 + z2 * b11,
+            k2[3] * horizon + z1 * b4 + z2 * (4.0 * b1 * b3 + 3.0 * b2 * b2)
+            + 6.0 * z3 * b11 * b2 + z4 * b11 * b11,
+        ))
+    if not all(map(math.isfinite, (c for row in cumulants for c in row))):
+        raise ValueError(f"non-finite cumulants (c1, c2, c4): {cumulants}")
     if t.ndim:
-        return tuple(cumulants.T.reshape((3,) + t.shape))
-    return tuple(cumulants[0].tolist())
+        return tuple(np.array(cumulants).T.reshape((3,) + t.shape))
+    return cumulants[0]
 
 
 def truncation_interval(cf: CharFn, config: CosConfig):

@@ -4,6 +4,12 @@ The market alternates between a calm and a frenzied regime according to a
 CTMC with generator Q = [[-l12, l12], [l21, -l21]], always starting in
 regime 1. Each regime carries its own drift/diffusion/subordinator
 parameters.
+
+The time tau the chain spends in regime 1 over [0, t] has the moment
+generating function E[e^{s tau}] = e_1^T exp(t (Q + s diag(1, 0))) [1, 1]^T
+(Pedler 1971), the 2x2 row sum that `charfn.switching_cf` takes in closed
+form; `occupation_cumulants` expands it to give tau's first four cumulants,
+from which `cos.log_return_cumulants` composes the log return's.
 """
 
 from __future__ import annotations
@@ -141,6 +147,96 @@ def generator_matrix(model: SwitchingModel) -> NDArray[np.float64]:
     """Infinitesimal generator Q of the regime chain; rows sum to zero."""
     l12, l21 = model.lambda12, model.lambda21
     return np.array([[-l12, l12], [l21, -l21]])
+
+
+# sqrt(delta) below which `_scaled_sinhc_derivatives` sums power series
+_SERIES_ROOT = 8.0
+
+
+def _scaled_sinhc_derivatives(y: float) -> tuple[list[float], float]:
+    """e^{-y} S^(k)(y^2) for k = 0..4, with S(delta) = sinh(sqrt delta) /
+    sqrt(delta) differentiated in delta, and e^{-y} cosh y; y >= 0.
+
+    S^(k)(delta) = i_k(y) / (2y)^k at y = sqrt(delta), with i_k the modified
+    spherical Bessel functions. For y >= _SERIES_ROOT these are taken in
+    closed form in w = 1/y, whose sinh and cosh terms cancel by at most a
+    factor of about 6 there. Below it S^(4) and S^(5) are summed as their
+    positive series sum_j (j+k)! delta^j / (j! (2j+2k+1)!), and the lower
+    derivatives follow from 4 delta S^(k+2) + (4k+6) S^(k+1) = S^(k) (S
+    solves 4 delta S'' + 6 S' = S), a recurrence of positive terms.
+    """
+    q = math.exp(-2.0 * y)
+    cosh = 0.5 * (1.0 + q)
+    if y >= _SERIES_ROOT:
+        sinh, w = 0.5 * (1.0 - q), 1.0 / y
+        w2 = w * w
+        return [
+            sinh * w,
+            (cosh - sinh * w) * w2 / 2.0,
+            ((1.0 + 3.0 * w2) * sinh - 3.0 * w * cosh) * w2 * w / 4.0,
+            ((1.0 + 15.0 * w2) * cosh - (6.0 + 15.0 * w2) * w * sinh) * w2 * w2 / 8.0,
+            ((1.0 + 45.0 * w2 + 105.0 * w2 * w2) * sinh - (10.0 + 105.0 * w2) * w * cosh) * w2 * w2 * w / 16.0,
+        ], cosh
+    delta = y * y
+    ders = [0.0] * 4
+    for k in (4, 5):
+        term = math.factorial(k) / math.factorial(2 * k + 1)
+        total, j = term, 0
+        while term > 1e-17 * total:
+            term *= delta / (2.0 * (j + 1) * (2 * j + 2 * k + 3))
+            total += term
+            j += 1
+        ders.append(total)
+    for k in (3, 2, 1, 0):
+        ders[k] = 4.0 * delta * ders[k + 2] + (4 * k + 6) * ders[k + 1]
+    scale = math.exp(-y)
+    return [scale * d for d in ders[:5]], cosh
+
+
+def occupation_cumulants(lambda12: float, lambda21: float, t: float) -> tuple[float, float, float, float]:
+    """First four cumulants (zeta_1..zeta_4) of the time tau that the chain,
+    started in regime 1, spends in regime 1 over [0, t].
+
+    With x = t s, R = t (l12 + l21) and H = t (l21 - l12), the 2x2 row sum
+    gives E[e^{s tau}] = e^{x/2} g(x) with
+        g(x) = e^{-R/2} [C(delta) + S(delta) (x + R)/2],
+        delta = (x^2 + 2 H x + R^2) / 4,
+    C = cosh(sqrt delta) and S = sinh(sqrt delta) / sqrt(delta). Since
+    C' = S/2, the Taylor coefficients of g at x = 0 follow from S's first
+    four delta-derivatives at R^2/4 (`_scaled_sinhc_derivatives`, scaled by
+    e^{-R/2} so that nothing overflows), and log g's coefficients l_n give
+    zeta_n = n! t^n l_n, plus t/2 for the mean. A non-finite intensity
+    gives NaNs, and l12 = 0 gives tau = t exactly.
+    """
+    if not (math.isfinite(lambda12) and math.isfinite(lambda21)):
+        return (math.nan,) * 4
+    if lambda12 == 0.0:
+        return float(t), 0.0, 0.0, 0.0
+    y = 0.5 * t * (lambda12 + lambda21)  # R/2
+    h = 0.5 * t * (lambda21 - lambda12)  # H/2: delta = y^2 + h x + x^2/4
+    s, cosh = _scaled_sinhc_derivatives(y)
+    hh = h * h
+
+    def taylor(d0, d1, d2, d3, d4):
+        """Coefficients of x^0..x^4 in sum_k d_k eps^k / k!, eps = h x + x^2/4."""
+        return (
+            d0,
+            d1 * h,
+            d1 / 4.0 + d2 * hh / 2.0,
+            d2 * h / 4.0 + d3 * hh * h / 6.0,
+            d2 / 32.0 + d3 * hh / 8.0 + d4 * hh * hh / 24.0,
+        )
+
+    sinhc = taylor(*s)  # e^{-y} S(delta(x))
+    cosh_rise = taylor(0.0, *s[:4])  # 2 e^{-y} (C(delta(x)) - cosh y), as C' = S/2
+    g0 = cosh + y * sinhc[0]  # 1 up to rounding
+    a1, a2, a3, a4 = ((cosh_rise[n] / 2.0 + y * sinhc[n] + sinhc[n - 1] / 2.0) / g0 for n in (1, 2, 3, 4))
+    a11 = a1 * a1  # products, not powers: a float ** raises OverflowError where * gives inf
+    l2 = a2 - a11 / 2.0
+    l3 = a3 - a1 * a2 + a11 * a1 / 3.0
+    l4 = a4 - a1 * a3 - a2 * a2 / 2.0 + a11 * a2 - a11 * a11 / 4.0
+    tt = t * t
+    return t * (a1 + 0.5), 2.0 * tt * l2, 6.0 * tt * t * l3, 24.0 * tt * tt * l4
 
 
 def simulate_regime_path(

@@ -5,6 +5,7 @@ import warnings
 import numpy as np
 import pytest
 from scipy.integrate import quad
+from scipy.linalg import expm
 
 import switchlevy as sl
 from switchlevy.charfn import increment_cumulants
@@ -56,12 +57,71 @@ class TestTruncationInterval:
         assert abs(c4) < 1e-6
 
 
+@pytest.mark.parametrize("intensities", [(math.inf, 1.0), (2.5, math.inf), (math.inf, math.inf)])
+def test_infinite_intensity_raises_non_finite_cumulants(intensities):
+    """SwitchingModel accepts an infinite intensity; pricing on it stops at
+    the cumulants with a ValueError, neither an OverflowError nor a finite
+    interval."""
+    model = sl.SwitchingModel(fig4_gamma_model().regimes, *intensities, sl.Family.GAMMA, 20.0, 0.04)
+    for t in (1.0, np.array([[0.5], [1.0]])):
+        with pytest.raises(ValueError, match="non-finite cumulants"):
+            sl.truncation_interval(sl.CharFn(model, t, y0=0.0), sl.CosConfig())
+    with pytest.raises(ValueError, match="non-finite cumulants"):
+        sl.price_table(model, [sl.ContractSpec(20.0, 1.0, CALL), sl.ContractSpec(18.0, 0.5, PUT)])
+
+
 def acceptance9_ig_regimes() -> tuple[sl.RegimeParams, sl.RegimeParams]:
     fam = sl.Family.INVERSE_GAUSSIAN
     return rn_regime(0.25, 2.5, 2.0, fam, 0.04), rn_regime(0.45, 4.0, 3.0, fam, 0.04)
 
 
+def van_loan_cumulants(model: sl.SwitchingModel, t: float) -> tuple[float, float, float]:
+    """Reference c1, c2, c4 of Z_t (y0 = 0) from the block exponential.
+
+    The moment generating function is E[e^{theta Z_t}] = e_1^T exp(t K) 1
+    with K(theta) = Q + sum_n D_n theta^n / n!, where D_n holds the regimes'
+    unit-time increment cumulants kappa_{j,n} on its diagonal. The
+    exponential of the 10x10 block upper-triangular Toeplitz matrix with
+    first block row t [Q, D_1, D_2/2!, D_3/3!, D_4/4!] has the Taylor
+    coefficients of exp(t K(theta)) as its first block row (Van Loan 1978),
+    so block n of row 0, summed and times n!, is the raw moment m_n.
+    """
+    factorials = np.array([1.0, 2.0, 6.0, 24.0])
+    kappa = np.array([increment_cumulants(p, model.family, 1.0) for p in model.regimes])
+    first = np.zeros((2, 10))
+    first[:, :2] = sl.generator_matrix(model)
+    first[0, 2::2], first[1, 3::2] = kappa / factorials
+    big = np.zeros((10, 10))
+    for r in range(5):
+        big[2 * r : 2 * r + 2, 2 * r :] = first[:, : 10 - 2 * r]
+    top = expm(t * big)[0]
+    m1, m2, m3, m4 = (top[2::2] + top[3::2]) * factorials
+    return m1, m2 - m1**2, m4 - 4.0 * m3 * m1 - 3.0 * m2**2 + 12.0 * m2 * m1**2 - 6.0 * m1**4
+
+
 class TestExactCumulants:
+    @pytest.mark.parametrize("family", list(sl.Family))
+    @pytest.mark.parametrize("case", ["acceptance9-ig", "fig2a"])
+    def test_against_van_loan_block_exponential(self, family, case):
+        """The occupation-time composition against the 10x10 block
+        exponential it replaced, every intensity pair of
+        {0, 0.01, 2.5, 20, 100} in both orders and six horizons."""
+        if case == "fig2a":
+            regimes = (sl.RegimeParams(0.01, 1.0, 0.1, 0.1), sl.RegimeParams(-0.1, 5.0, 0.1, 10.0))
+        else:
+            regimes = acceptance9_ig_regimes()
+        intensities = [0.0, 0.01, 2.5, 20.0, 100.0]
+        for lambda12 in intensities:
+            for lambda21 in intensities:
+                model = sl.SwitchingModel(regimes, lambda12, lambda21, family, 20.0, 0.04)
+                for t in (1e-3, 0.01, 0.25, 1.0, 2.0, 5.0):
+                    c1, c2, c4 = log_return_cumulants(sl.CharFn(model, t, y0=0.0))
+                    r1, r2, r4 = van_loan_cumulants(model, t)
+                    where = f"l12={lambda12}, l21={lambda21}, t={t}"
+                    assert c1 == pytest.approx(r1, rel=1e-12, abs=0.0), where
+                    assert c2 == pytest.approx(r2, rel=1e-12, abs=0.0), where
+                    assert abs(c4 - r4) <= 1e-11 * (r2 * r2 + abs(r4)), where
+
     @pytest.mark.parametrize("family", list(sl.Family))
     @pytest.mark.parametrize("t", [0.01, 1.0])
     def test_single_regime_closed_form(self, family, t):

@@ -36,3 +36,27 @@ def test_pricing_loads_no_optimizer_or_stats():
     assert out.returncode == 0, out.stderr
     stages = json.loads(out.stdout.splitlines()[-1])
     assert stages == {"import": [], "price": [], "drift": ["scipy.optimize"]}
+
+
+LINALG_SCRIPT = """
+import sys
+import switchlevy as sl
+import switchlevy.cli
+
+p1 = sl.RegimeParams(0.01, 0.3, 2.0, 2.0)
+p2 = sl.RegimeParams(-0.1, 0.6, 1.0, 4.0)
+model = sl.SwitchingModel((p1, p2), 2.5, 1.0, sl.Family.INVERSE_GAUSSIAN, 20.0, 0.04)
+contract = sl.ContractSpec(20.0, 1.0, sl.OptionKind.CALL)
+sl.price_table(model, [contract])
+sl.price_european_mc(model, contract, 2000, seed=1)
+print("scipy.linalg" in sys.modules)
+"""
+
+
+def test_pricing_loads_no_linalg():
+    """The COS cumulants come from the occupation time in closed form, so
+    neither the imports nor a COS or Monte Carlo price load scipy.linalg."""
+    env = os.environ | {"PYTHONPATH": str(SRC)}
+    out = subprocess.run([sys.executable, "-c", LINALG_SCRIPT], env=env, capture_output=True, text=True)
+    assert out.returncode == 0, out.stderr
+    assert out.stdout.splitlines()[-1] == "False"

@@ -1,5 +1,8 @@
+import math
+
 import numpy as np
 import pytest
+from scipy.special import gammainc
 
 import switchlevy as sl
 
@@ -159,3 +162,62 @@ class TestFamilyAndFiniteness:
         for bad in ("cauchy", 3, None):
             with pytest.raises(ValueError):
                 sl.SwitchingModel(prm, 1.0, 1.0, bad, 20.0, 0.0)
+
+
+class TestOccupationCumulants:
+    """Cumulants (zeta_1..zeta_4) of the time tau spent in regime 1 over
+    [0, t]. They carry an absolute rounding error of order eps t^n, so the
+    small higher cumulants of a fast chain are compared on that scale."""
+
+    @pytest.mark.parametrize("l12, l21", [(0.01, 2.5), (2.5, 1.0), (20.0, 10.0), (100.0, 0.01), (3.0, 40.0)])
+    @pytest.mark.parametrize("t", [1e-3, 0.25, 1.0, 5.0])
+    def test_mean_closed_form(self, l12, l21, t):
+        rate = l12 + l21
+        mean = l21 * t / rate - l12 * math.expm1(-rate * t) / rate**2
+        assert sl.occupation_cumulants(l12, l21, t)[0] == pytest.approx(mean, rel=1e-12, abs=0.0)
+
+    @pytest.mark.parametrize("l21", [0.0, 2.5])
+    def test_absorbing_first_regime_is_exact(self, l21):
+        assert sl.occupation_cumulants(0.0, l21, 0.7) == (0.7, 0.0, 0.0, 0.0)
+
+    @pytest.mark.parametrize("l12, t", [(0.5, 1.0), (3.0, 1.0), (2.0, 0.01), (20.0, 2.0), (100.0, 2.5)])
+    def test_absorbing_second_regime_is_a_truncated_exponential(self, l12, t):
+        """l21 = 0 gives tau = min(Exp(l12), t), with raw moments
+        E[tau^n] = n!/l12^n P(n, l12 t), P the regularized incomplete gamma."""
+        m1, m2, m3, m4 = (math.factorial(n) / l12**n * gammainc(n, l12 * t) for n in range(1, 5))
+        reference = (
+            m1,
+            m2 - m1**2,
+            m3 - 3.0 * m2 * m1 + 2.0 * m1**3,
+            m4 - 4.0 * m3 * m1 - 3.0 * m2**2 + 12.0 * m2 * m1**2 - 6.0 * m1**4,
+        )
+        got = sl.occupation_cumulants(l12, 0.0, t)
+        for n, (z, ref) in enumerate(zip(got, reference), start=1):
+            assert abs(z - ref) <= 1e-12 * abs(ref) + 1e-14 * t**n, n
+
+    @pytest.mark.parametrize("l12, l21", [(1.0, 3.0), (3.0, 1.0), (0.01, 5.0), (5.0, 0.01)])
+    def test_series_and_closed_forms_meet(self, l12, l21):
+        """Either side of the horizon where the sinhc derivatives switch from
+        their series to their closed forms."""
+        t = 2.0 * sl.regime._SERIES_ROOT / (l12 + l21)
+        below = sl.occupation_cumulants(l12, l21, t * (1.0 - 1e-15))
+        above = sl.occupation_cumulants(l12, l21, t * (1.0 + 1e-15))
+        for n, (z_below, z_above) in enumerate(zip(below, above), start=1):
+            assert abs(z_below - z_above) <= 1e-12 * abs(z_above) + 1e-14 * t**n, n
+
+    @pytest.mark.parametrize("l12, l21, t", [(2.5, 1.0, 2.0), (30.0, 12.0, 1.0)])
+    def test_against_simulated_paths(self, l12, l21, t):
+        """Mean and variance of `occupation_fraction` over simulated paths
+        within 4 standard errors; the variance's standard error uses zeta_4."""
+        z1, z2, _, z4 = sl.occupation_cumulants(l12, l21, t)
+        rng = np.random.default_rng(23)
+        model = _chain_model(l12, l21)
+        fracs = np.array([sl.occupation_fraction(sl.simulate_regime_path(model, t, rng), t) for _ in range(4000)])
+        n = fracs.size
+        assert abs(fracs.mean() - z1 / t) < 4.0 * math.sqrt(z2 / n) / t
+        assert abs(fracs.var(ddof=1) - z2 / t**2) < 4.0 * math.sqrt((z4 + 2.0 * z2**2) / n) / t**2
+
+    def test_non_finite_intensity_gives_nans(self):
+        assert all(math.isnan(z) for z in sl.occupation_cumulants(math.inf, 1.0, 1.0))
+        assert all(math.isnan(z) for z in sl.occupation_cumulants(1.0, math.inf, 1.0))
+        assert all(math.isnan(z) for z in sl.occupation_cumulants(0.0, math.inf, 1.0))
