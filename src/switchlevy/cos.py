@@ -54,10 +54,10 @@ class ContractSpec:
     kind: OptionKind
 
     def __post_init__(self) -> None:
-        if not self.strike > 0:
-            raise ValueError(f"strike must be > 0, got {self.strike}")
-        if not self.maturity > 0:
-            raise ValueError(f"maturity must be > 0, got {self.maturity}")
+        if not 0 < self.strike < math.inf:
+            raise ValueError(f"strike must be finite and > 0, got {self.strike}")
+        if not 0 < self.maturity < math.inf:
+            raise ValueError(f"maturity must be finite and > 0, got {self.maturity}")
 
 
 # L of the automatic truncation interval c1 -/+ L sqrt(c2 + sqrt|c4|)
@@ -68,8 +68,9 @@ CUMULANT_SCALE = 10.0
 class CosConfig:
     """Series length and optional fixed interval.
 
-    A user interval [a, b] is in log-moneyness log(S_T/K), is shared by
-    every strike and has finite endpoints with a < 0 < b.
+    A user interval [a, b] bounds the log return log(S_T/S0) at every
+    maturity and has finite endpoints with a < 0 < b. Like the automatic
+    interval, it is shifted by each strike's log-moneyness log(S0/K).
     """
 
     n_terms: int = 512
@@ -125,18 +126,22 @@ def log_return_cumulants(cf: CharFn):
 
 
 def truncation_interval(cf: CharFn, config: CosConfig):
-    """Expansion interval [a, b]: user-specified, or the cumulant rule
-    c1 -/+ L sqrt(c2 + sqrt|c4|) with L = CUMULANT_SCALE, as floats for a
-    scalar horizon and as arrays of cf.t's shape for an array of horizons."""
-    if config.interval is not None:
-        return config.interval
-    c1, c2, c4 = log_return_cumulants(cf)
-    half = CUMULANT_SCALE * np.sqrt(np.maximum(c2, 0.0) + np.sqrt(np.abs(c4)))
-    if not (np.isfinite(half) & (half > 0)).all():
-        raise ValueError(f"degenerate truncation width {half}")
-    if half.ndim:
-        return c1 - half, c1 + half
-    return float(c1 - half), float(c1 + half)
+    """Expansion interval [a, b] of y0 + Z_t, the variable whose CF is cf:
+    y0 + [a, b] for a user interval [a, b] of the log return Z_t, else the
+    cumulant rule c1 -/+ L sqrt(c2 + sqrt|c4|) with L = CUMULANT_SCALE.
+    Floats for a scalar horizon, arrays of cf.t's shape for an array of
+    horizons."""
+    if config.interval is None:
+        c1, c2, c4 = log_return_cumulants(cf)
+        half = CUMULANT_SCALE * np.sqrt(np.maximum(c2, 0.0) + np.sqrt(np.abs(c4)))
+        if not (np.isfinite(half) & (half > 0)).all():
+            raise ValueError(f"degenerate truncation width {half}")
+        lo, hi = c1 - half, c1 + half
+    else:
+        lo, hi = (np.full(np.shape(cf.t), cf.y0 + x) for x in config.interval)
+    if np.ndim(lo):
+        return lo, hi
+    return float(lo), float(hi)
 
 
 def put_coefficients(strike, a, b, n_terms: int) -> np.ndarray:
@@ -347,16 +352,12 @@ def _grid_sums(model: SwitchingModel, contracts: Sequence[ContractSpec], config:
     shape (K, J).
 
     A contract's sum is Sum_k Re(rows_k e^{i u_k (x0 - a)}) V_k with
-    x0 = log(s0/K), the first term halved. One factor is shared by a
-    maturity's strikes and the other varies by strike, so no table with a
-    row per contract is formed:
-    - automatic interval: maturity m has the cumulant interval [a0, b0] of
-      `base`, shifted by x0 per strike. The width W, the u row k pi / W and
-      the phase u (x0 - a) = -u a0 are the maturity's, and `_payoff_sums`
-      takes each strike's own [a, b].
-    - user interval: every strike shares [a, b] and one u row, so V_k = K v_k
-      with v the strike-one payoff row, and the sum is
-      K Re Sum_k (rows_k v_k) e^{ik theta} at theta = pi (x0 - a) / W.
+    x0 = log(s0/K), the first term halved. Maturity m has the interval
+    [a0, b0] of the log return (`truncation_interval` of `base`, automatic
+    or user), and a strike's interval is [x0 + a0, x0 + b0]. The width W,
+    the u row k pi / W and the phase u (x0 - a) = -u a0 are the maturity's,
+    so the term rows are too, and `_payoff_sums` takes each strike's own
+    [a, b]: no table with a row per contract is formed.
     """
     by_t = _by_maturity(contracts)
     order = [i for idx in by_t.values() for i in idx]
@@ -367,20 +368,10 @@ def _grid_sums(model: SwitchingModel, contracts: Sequence[ContractSpec], config:
     base = CharFn(model, np.array(list(by_t))[:, None], y0=0.0)
     a0, b0 = truncation_interval(base, config)
     width, n = b0 - a0, config.n_terms
-    u = np.arange(n) * np.pi / width
-    rows = cf_rows(base, u)
-    phase = _powers(np.pi * -a0 / width, n)  # e^{-i u a0}
-    if config.interval is None:
-        terms = np.real(rows * phase)
-        terms[..., 0] *= 0.5
-        sums = _payoff_sums(terms, strikes, x0 + a0.repeat(counts), x0 + b0.repeat(counts), width, counts)
-    else:  # W v / 2 from the closed form of `_payoff_sums` at d = min(0, b) = 0, where z = phase
-        lorentz = 1.0 / (1.0 + u * u)
-        v = np.zeros(n)
-        np.divide(phase.imag * lorentz, u, out=v, where=u > 0.0)
-        v += (math.exp(a0) - phase.real) * lorentz
-        v[0] = 0.5 * (v[0] - a0)
-        sums = (2.0 * strikes[:, None] / width) * _power_sums(np.pi * (x0 - a0) / width, rows * v, counts).real
+    rows = cf_rows(base, np.arange(n) * np.pi / width)
+    terms = np.real(rows * _powers(np.pi * -a0 / width, n))  # e^{-i u a0}
+    terms[..., 0] *= 0.5
+    sums = _payoff_sums(terms, strikes, x0 + a0.repeat(counts), x0 + b0.repeat(counts), width, counts)
     return order, strikes, disc, disc[:, None] * sums
 
 

@@ -143,6 +143,29 @@ class TestFailuresLeaveNoOutput:
         assert "n_paths" in capsys.readouterr().err
         assert not out.exists()
 
+    @pytest.mark.parametrize("method", ["cos", "mc"])
+    @pytest.mark.parametrize(
+        "row,message",
+        [("0.25,inf,call", "strike must be finite and > 0, got inf"),
+         ("0.5,inf,put", "strike must be finite and > 0, got inf"),
+         ("inf,20,call", "maturity must be finite and > 0, got inf")],
+    )
+    def test_price_infinite_grid_entry_exits_2(self, tmp_path, capsys, row, message, method):
+        """Without the check an infinite strike priced to -inf, 0 or NaN and
+        an infinite maturity overflowed; the grid reader now names the file
+        and line."""
+        prm = (sl.RegimeParams(0.01, 0.3, 2.0, 2.0), sl.RegimeParams(-0.1, 0.6, 1.0, 4.0))
+        mf = tmp_path / "model.json"
+        save_model(sl.SwitchingModel(prm, 20.0, 10.0, sl.Family.GAMMA, 20.0, 0.04), mf)
+        grid = tmp_path / "grid.csv"
+        grid.write_text(f"maturity,strike,kind\n{row}\n")
+        out = tmp_path / "o.csv"
+        code = main(["price", "--model", str(mf), "--grid", str(grid), "--out", str(out),
+                     "--method", method, "--paths", "1000"])
+        assert code == 2
+        assert f"{grid} line 2: {message}" in capsys.readouterr().err
+        assert not out.exists()
+
 
 class TestSimulateCommand:
     def test_deterministic_and_well_formed(self, tmp_path, model_file):

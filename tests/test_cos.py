@@ -38,7 +38,16 @@ class TestTruncationInterval:
 
     def test_user_interval_passthrough(self):
         cf = sl.CharFn(bs_reduced_model(0.04, 0.5), 1.0)
-        assert sl.truncation_interval(cf, sl.CosConfig(interval=(-8.0, 8.0))) == (-8.0, 8.0)
+        assert sl.truncation_interval(cf, sl.CosConfig(interval=(-8.0, 8.0))) == (cf.y0 - 8.0, cf.y0 + 8.0)
+
+    def test_user_interval_on_horizon_column(self):
+        """A user interval of the log return, shifted by y0, as two arrays
+        of the horizons' (M, 1) shape."""
+        cf = sl.CharFn(fig4_gamma_model(), np.array([[0.25], [1.0], [2.0]]), y0=0.3)
+        a, b = sl.truncation_interval(cf, sl.CosConfig(interval=(-2.0, 3.0)))
+        assert a.shape == b.shape == (3, 1)
+        np.testing.assert_array_equal(a, 0.3 + -2.0)
+        np.testing.assert_array_equal(b, 0.3 + 3.0)
 
     def test_interval_covers_simulated_mass(self):
         """Automatic interval holds all of 1e5 sampled log returns."""
@@ -205,7 +214,7 @@ class TestPayoffSums:
         # a = offset * width places the interval across zero, left of zero
         # (b < 0) or right of it (put span 0)
         for offset in (-0.5, -1.25, 0.25):
-            if shared_interval:  # a user interval: every strike its own rows
+            if shared_interval:  # one [a, b] for every strike, each with its own rows
                 a = width * (offset + rng.uniform(-0.2, 0.2))
                 terms = rng.standard_normal((n_strikes, n_rows, n_terms))
                 rows = terms
@@ -257,8 +266,9 @@ class TestPayoffSums:
         """The running products of e^{i theta} against a long-double
         e^{ik theta}: no larger an error than the exponentials e^{ik theta}
         taken directly (their argument k theta is rounded) on the same
-        angles, with a floor of 1e-14. |theta| <= 40 covers the angles
-        pi (x0 - a) / (b - a) of a user interval."""
+        angles, with a floor of 1e-14. |theta| <= 40 reaches well beyond
+        the pricer's angles pi (d - a) / (b - a) and -pi a / (b - a), which
+        lie in [0, pi] for a < 0 < b."""
         rng = np.random.default_rng([n_terms, int(span[1])])
         theta = np.concatenate([span, rng.uniform(*span, 200)])
         k = np.arange(n_terms)
@@ -484,6 +494,16 @@ class TestGuards:
             sl.ContractSpec(-1.0, 1.0, CALL)
 
     @pytest.mark.parametrize(
+        "strike,maturity,message",
+        [(math.inf, 1.0, "strike must be finite"), (20.0, math.inf, "maturity must be finite")],
+    )
+    def test_contract_rejects_non_finite_strike_or_maturity(self, strike, maturity, message):
+        """An infinite strike or maturity passes > 0 but prices to -inf,
+        0, NaN or an OverflowError."""
+        with pytest.raises(ValueError, match=message):
+            sl.ContractSpec(strike, maturity, CALL)
+
+    @pytest.mark.parametrize(
         "kwargs",
         [{"interval": (-3.0, math.inf)}, {"interval": (-math.inf, 3.0)}, {"interval": (math.nan, 3.0)},
          {"n_terms": 20.5}, {"n_terms": 64.0}],
@@ -530,7 +550,7 @@ def _dense_reference(model, contracts, config, jacobian=False):
         a0, b0 = sl.truncation_interval(cf0, config)
         u = np.arange(n) * np.pi / (b0 - a0)
         x0 = math.log(model.s0 / c.strike)
-        a, b = (x0 + a0, x0 + b0) if config.interval is None else (a0, b0)
+        a, b = x0 + a0, x0 + b0
         if jacobian:
             f = sl.charfn.expm_row_sum_grad(c.maturity * sl.charfn.phi_matrix_batch(model, u))
             rows = c.maturity * np.concatenate([
@@ -648,6 +668,39 @@ class TestGridSweep:
         contracts = [sl.ContractSpec(k, t, kind) for k, t, kind in self.GRID]
         sl.price_table(self._model(sl.Family.GAMMA), contracts, sl.CosConfig(interval=interval))
         assert calls == {"cf": 1, "cumulants": 1 if interval is None else 0}
+
+    @pytest.mark.parametrize("family", list(sl.Family))
+    def test_user_interval_equal_to_automatic_is_bit_identical(self, family):
+        """A user interval set to the maturity's automatic interval of the
+        log return takes the automatic mode's arithmetic, so prices and
+        Jacobians agree to the bit."""
+        model = self._model(family)
+        n_terms = 64 if family is sl.Family.IDENTITY else 256
+        auto = sl.CosConfig(n_terms=n_terms)
+        interval = sl.truncation_interval(sl.CharFn(model, 1.0, y0=0.0), auto)
+        user = sl.CosConfig(n_terms=n_terms, interval=interval)
+        for pricer in (sl.price_table, sl.cos.price_table_jacobian):
+            np.testing.assert_array_equal(pricer(model, self.STRIP, user), pricer(model, self.STRIP, auto))
+
+    @pytest.mark.parametrize("family", [sl.Family.GAMMA, sl.Family.INVERSE_GAUSSIAN])
+    def test_fixed_interval_prices_far_strikes(self, family):
+        """The interval (-2, 2) of the log return, shifted by each strike's
+        log-moneyness, prices strikes S0 e^{+/-1} at 512 terms within 2e-3
+        of a 4,096-term automatic price (about 5e-4 is reached), with no
+        clipped sum on either side."""
+        r = 0.03
+        regimes = tuple(rn_regime(s, a, b, family, r) for s, a, b in ((0.25, 2.5, 2.0), (0.45, 4.0, 3.0)))
+        model = sl.SwitchingModel(regimes, 2.5, 1.0, family, 20.0, r)
+        contracts = [
+            sl.ContractSpec(float(k), 1.0, kind)
+            for k in 20.0 * np.exp(np.linspace(-1.0, 1.0, 41))
+            for kind in (CALL, PUT)
+        ]
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            fixed = sl.price_table(model, contracts, sl.CosConfig(interval=(-2.0, 2.0)))
+            reference = sl.price_table(model, contracts, sl.CosConfig(n_terms=4096))
+        assert np.abs(fixed - reference).max() <= 2e-3
 
     def test_empty_grid(self):
         model = self._model(sl.Family.GAMMA)
