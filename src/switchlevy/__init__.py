@@ -33,9 +33,7 @@ from .cos import (
     OptionKind,
     PricingError,
     bs_closed_form,
-    price_call,
     price_contract,
-    price_put,
     price_table,
     put_coefficients,
     truncation_interval,

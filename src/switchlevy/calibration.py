@@ -94,7 +94,7 @@ class CalibContext:
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "family", Family(self.family))
-        check_market(self.lambda12, self.lambda21, self.s0)
+        check_market(self.lambda12, self.lambda21, self.s0, self.r)
 
 
 @dataclass(frozen=True)

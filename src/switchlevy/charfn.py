@@ -160,11 +160,12 @@ def matrix_exp(a: np.ndarray) -> np.ndarray:
 class CharFn:
     """Characteristic function of y0 + Z_t for a switching model.
 
-    y0 defaults to log(s0); pricing code recenters to log-moneyness by
-    passing y0 = log(s0 / K). t is one horizon, or an array-like of
-    horizons that broadcasts against the u grid of `switching_cf`: an
-    (M, 1) column against an (M, n) grid gives one row per horizon in one
-    sweep. Every horizon must be finite and > 0.
+    y0 defaults to log(s0), the log price that `plot-cf` writes the CF of.
+    The COS pricer builds it at y0 = 0, the log return, and shifts each
+    strike's interval by its log-moneyness. t is one horizon, or an
+    array-like of horizons that broadcasts against the u grid of
+    `switching_cf`: an (M, 1) column against an (M, n) grid gives one row
+    per horizon in one sweep. Every horizon must be finite and > 0.
     """
 
     model: SwitchingModel

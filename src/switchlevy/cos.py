@@ -5,7 +5,7 @@ truncated interval [a, b]; calls always go through put-call parity
 (call = put + S0 - K exp(-rT)) because the direct call coefficients
 diverge for large b while the put coefficients stay bounded. The parity
 correction is applied once, after the summation. `price_table` is the one
-pricing kernel; `price_put`, `price_call` and `price_contract` wrap it, and
+pricing kernel; `price_contract` is its single-contract wrapper, and
 `price_table_jacobian` differentiates it in the regime parameters.
 
 The automatic interval comes from the exact cumulants c1, c2, c4 of the log
@@ -189,39 +189,11 @@ def _guard_put_sums(raw: np.ndarray, strikes: np.ndarray) -> np.ndarray:
     return np.where(raw < 0.0, 0.0, raw)
 
 
-def _price_from_cf(cf: CharFn, contract: ContractSpec, kind: OptionKind, config: CosConfig) -> float:
-    """COS price of the `kind` option of the contract's strike and maturity
-    through `price_table`. cf must be built with horizon = maturity and
-    y0 = log(S0/K), the log-moneyness centering the pricer uses for every
-    strike."""
-    expected_y0 = math.log(cf.model.s0 / contract.strike)
-    if np.ndim(cf.t):
-        raise ValueError(f"cf horizon must be one maturity, got {np.ravel(cf.t).tolist()}")
-    if abs(cf.t - contract.maturity) > 1e-12 * max(1.0, contract.maturity):
-        raise ValueError(f"cf horizon {cf.t} != contract maturity {contract.maturity}")
-    if abs(cf.y0 - expected_y0) > 1e-9:
-        raise ValueError(
-            f"cf.y0={cf.y0} is not log(s0/K)={expected_y0}; "
-            "build the CF at log-moneyness for pricing"
-        )
-    return price_contract(cf.model, ContractSpec(contract.strike, contract.maturity, kind), config)
-
-
-def price_put(cf: CharFn, contract: ContractSpec, config: CosConfig = CosConfig()) -> float:
-    """COS price of a European put, cf as `_price_from_cf` requires."""
-    return _price_from_cf(cf, contract, OptionKind.PUT, config)
-
-
-def price_call(cf: CharFn, contract: ContractSpec, config: CosConfig = CosConfig()) -> float:
-    """COS price of a European call, cf as `_price_from_cf` requires;
-    `price_table` takes it from the put by put-call parity."""
-    return _price_from_cf(cf, contract, OptionKind.CALL, config)
-
-
 def price_contract(
     model: SwitchingModel, contract: ContractSpec, config: CosConfig = CosConfig()
 ) -> float:
-    """COS price of one contract through `price_table`."""
+    """COS price of one contract through `price_table`, the put or the call
+    that contract.kind names."""
     return float(price_table(model, [contract], config)[0])
 
 

@@ -22,6 +22,7 @@ from .regime import (
     Family,
     RegimeParams,
     SwitchingModel,
+    check_finite_intensities,
     simulate_regime_path,
 )
 from .subordinators import (
@@ -89,9 +90,9 @@ def simulate_path(
 
 def _steps(horizon: float, dt: float) -> int:
     """Steps of the dt grid on [0, horizon], the last one shorter when dt
-    does not divide the horizon; needs 0 < dt <= horizon."""
-    if not 0 < dt <= horizon:
-        raise ValueError("need 0 < dt <= horizon")
+    does not divide the horizon; needs 0 < dt <= horizon < inf."""
+    if not 0 < dt <= horizon < math.inf:
+        raise ValueError(f"need 0 < dt <= horizon < inf, got dt = {dt} and horizon = {horizon}")
     return int(math.ceil(horizon / dt - 1e-12))
 
 
@@ -114,8 +115,10 @@ def sample_terminal(
     step start to its next switch or the step end; then only the paths
     that switched, as an index array, are advanced segment by segment, so
     each draw sees a single regime. Every pass draws regime 1's increments
-    and normals, then regime 2's, then one exponential per switch.
+    and normals, then regime 2's, then one exponential per switch. An
+    infinite intensity raises ValueError before the first draw.
     """
+    check_finite_intensities(model.lambda12, model.lambda21)
     n_steps = _steps(horizon, dt)
     params = model.regimes
     specs = (spec_for(params[0], model.family), spec_for(params[1], model.family))
@@ -256,7 +259,8 @@ class FrozenTerminalSampler:
     Gamma leg's transform depends on alpha alone: its increment is kept
     for beta = 1 and divided by beta, as the transform does. A reused
     evaluation is bit-for-bit the one a fresh sampler gives. family may
-    be given by its string value.
+    be given by its string value. An infinite intensity or horizon raises
+    ValueError before the first draw.
     """
 
     def __init__(
@@ -268,8 +272,9 @@ class FrozenTerminalSampler:
         n_paths: int,
         seed: int,
     ):
-        if not horizon > 0 or n_paths < 1:
-            raise ValueError("need horizon > 0 and n_paths >= 1")
+        if not 0 < horizon < math.inf or n_paths < 1:
+            raise ValueError("need a finite horizon > 0 and n_paths >= 1")
+        check_finite_intensities(lambda12, lambda21)
         self.family = family = Family(family)
         self.n_paths = n_paths
         rng = np.random.default_rng(seed)

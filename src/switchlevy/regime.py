@@ -87,19 +87,30 @@ class SwitchingModel:
         if len(self.regimes) != 2:
             raise ValueError("exactly two regimes required")
         object.__setattr__(self, "family", Family(self.family))
-        check_market(self.lambda12, self.lambda21, self.s0)
+        check_market(self.lambda12, self.lambda21, self.s0, self.r)
 
     def intensity_leaving(self, state: int) -> float:
         return self.lambda12 if state == 1 else self.lambda21
 
 
-def check_market(lambda12: float, lambda21: float, s0: float) -> None:
+def check_market(lambda12: float, lambda21: float, s0: float, r: float) -> None:
     """The market data a model and a calibration share: intensities >= 0
-    and a spot s0 > 0; raises ValueError otherwise, NaN included."""
+    (an infinite one passes; the samplers refuse it), a finite spot s0 > 0
+    and a finite rate r; raises ValueError otherwise, NaN included."""
     if not (lambda12 >= 0 and lambda21 >= 0):
         raise ValueError("switching intensities must be >= 0")
-    if not s0 > 0:
-        raise ValueError(f"s0 must be > 0, got {s0}")
+    if not 0 < s0 < math.inf:
+        raise ValueError(f"s0 must be > 0 and finite, got {s0}")
+    if not math.isfinite(r):
+        raise ValueError(f"r must be finite, got {r}")
+
+
+def check_finite_intensities(lambda12: float, lambda21: float) -> None:
+    """The rule of every sampler of the regime chain: an infinite intensity
+    gives sojourns of length 0, so a path would switch without end. COS
+    refuses such a model too (non-finite cumulants)."""
+    if not (math.isfinite(lambda12) and math.isfinite(lambda21)):
+        raise ValueError(f"sampling needs finite switching intensities, got {lambda12} and {lambda21}")
 
 
 def mean_sojourn_to_intensity(mean_sojourn_years: float) -> float:
@@ -249,6 +260,7 @@ def simulate_regime_path(
     """
     if horizon <= 0:
         raise ValueError("horizon must be > 0")
+    check_finite_intensities(model.lambda12, model.lambda21)
     times: list[float] = []
     states = [1]
     t = 0.0

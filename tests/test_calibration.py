@@ -82,6 +82,26 @@ class TestCalibContext:
             _context(l12=l12, l21=l21, s0=s0)
         assert str(context_error.value) == str(model_error.value)
 
+    @pytest.mark.parametrize(
+        "s0, r, message",
+        [(np.inf, 0.04, "s0 must be > 0"), (20.0, np.nan, "r must be finite"), (20.0, np.inf, "r must be finite"),
+         (20.0, -np.inf, "r must be finite")],
+    )
+    def test_rejects_non_finite_spot_or_rate(self, s0, r, message):
+        """An infinite spot or a non-finite rate priced to NaN or infinite
+        prices, or stopped inside the solver without naming the input."""
+        regimes = (sl.RegimeParams(0.0, 0.3, 1.0, 1.0),) * 2
+        with pytest.raises(ValueError, match=message) as model_error:
+            sl.SwitchingModel(regimes, 2.5, 1.0, IG, s0, r)
+        with pytest.raises(ValueError, match=message) as context_error:
+            _context(s0=s0, r=r)
+        assert str(context_error.value) == str(model_error.value)
+
+    def test_accepts_an_infinite_intensity(self):
+        """COS and the samplers refuse an infinite intensity; the market
+        data may hold one."""
+        assert _context(l12=np.inf).lambda12 == np.inf
+
 
 class TestObjective:
     def test_two_dollar_gap_gives_j_two(self):

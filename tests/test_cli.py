@@ -1,6 +1,10 @@
 import csv
 import json
+import os
+import subprocess
+import sys
 from datetime import date, timedelta
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -10,6 +14,8 @@ from switchlevy.cli import main
 from switchlevy.data_io import save_model
 
 from conftest import rn_regime, synthetic_price_history, write_price_csv
+
+SRC = Path(__file__).resolve().parents[1] / "src"
 
 
 @pytest.fixture
@@ -167,6 +173,77 @@ class TestFailuresLeaveNoOutput:
         assert not out.exists()
 
 
+def _json_with_literals(doc: dict, **literals: str) -> str:
+    """doc as JSON text, each named field written as the given literal
+    (1e400, which JSON reads as inf, or NaN)."""
+    text = json.dumps({**doc, **{field: f"@{field}@" for field in literals}})
+    for field, literal in literals.items():
+        text = text.replace(f'"@{field}@"', literal)
+    return text
+
+
+class TestNonFiniteMarketInputs:
+    """A model or market file with a non-finite rate or spot, or with an
+    infinite intensity where Monte Carlo must sample the chain, exits 2,
+    names the file and writes nothing."""
+
+    MODEL = {"family": "gamma", "lambda12": 20.0, "lambda21": 10.0, "r": 0.04, "s0": 20.0,
+             "regimes": [{"mu": 0.01, "sigma": 0.3, "alpha": 2.0, "beta": 2.0},
+                         {"mu": -0.1, "sigma": 0.6, "alpha": 1.0, "beta": 4.0}]}
+
+    @pytest.mark.parametrize("method", ["cos", "mc"])
+    @pytest.mark.parametrize(
+        "field, literal, message",
+        [("r", "NaN", "r must be finite"), ("r", "1e400", "r must be finite"), ("s0", "1e400", "s0 must be > 0")],
+    )
+    def test_price_model_file(self, tmp_path, capsys, method, field, literal, message):
+        """Before the check these priced to nan, inf or a wrong finite
+        price (20.0 for a call at r = 1e400) and exited 0."""
+        mf = tmp_path / "model.json"
+        mf.write_text(_json_with_literals(self.MODEL, **{field: literal}))
+        grid = tmp_path / "grid.csv"
+        grid.write_text("maturity,strike,kind\n0.5,20,call\n0.5,18,put\n")
+        out = tmp_path / "o.csv"
+        code = main(["price", "--model", str(mf), "--grid", str(grid), "--out", str(out),
+                     "--method", method, "--paths", "1000"])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert str(mf) in err and message in err
+        assert not out.exists()
+
+    @staticmethod
+    def _cli(*args):
+        """The command in a child process, which the timeout can stop:
+        before the check these runs never returned."""
+        env = os.environ | {"PYTHONPATH": str(SRC)}
+        return subprocess.run([sys.executable, "-m", "switchlevy.cli", *args], env=env,
+                              capture_output=True, text=True, timeout=60)
+
+    def test_price_mc_infinite_intensities(self, tmp_path):
+        mf = tmp_path / "model.json"
+        mf.write_text(_json_with_literals(self.MODEL, lambda12="1e400", lambda21="1e400"))
+        grid = tmp_path / "grid.csv"
+        grid.write_text("maturity,strike,kind\n0.5,20,call\n")
+        out = tmp_path / "o.csv"
+        run = self._cli("price", "--model", str(mf), "--grid", str(grid), "--out", str(out), "--method", "mc")
+        assert run.returncode == 2, run.stderr
+        assert "finite switching intensities" in run.stderr
+        assert not out.exists()
+
+    def test_calibrate_infinite_intensities(self, tmp_path):
+        market = {"s0": 20.0, "r": 0.04, "lambda12": 2.5, "lambda21": 1.0}
+        mf = tmp_path / "market.json"
+        mf.write_text(_json_with_literals(market, lambda12="1e400", lambda21="1e400"))
+        qf = tmp_path / "quotes.csv"
+        qf.write_text("maturity,strike,kind,mid\n0.5,24,call,0.3\n")
+        out = tmp_path / "o.json"
+        run = self._cli("calibrate", "--quotes", str(qf), "--market", str(mf), "--out", str(out),
+                        "--family", "ig", "--max-iters", "3", "--mc-paths", "500")
+        assert run.returncode == 2, run.stderr
+        assert "finite switching intensities" in run.stderr
+        assert not out.exists()
+
+
 class TestSimulateCommand:
     def test_deterministic_and_well_formed(self, tmp_path, model_file):
         mf, _ = model_file
@@ -182,6 +259,14 @@ class TestSimulateCommand:
         assert times[0] == 0.0 and times[-1] == 1.0
         assert np.all(np.diff(times) > 0)
         assert {r[2] for r in rows} <= {"1", "2"}
+
+    def test_infinite_horizon_exits_2(self, tmp_path, model_file, capsys):
+        """It overflowed the step count with a traceback and exit 1."""
+        mf, _ = model_file
+        out = tmp_path / "p.csv"
+        assert main(["simulate", "--model", str(mf), "--horizon", "inf", "--out", str(out)]) == 2
+        assert "horizon < inf" in capsys.readouterr().err
+        assert not out.exists()
 
 
 class TestPlotCfCommand:
@@ -385,7 +470,8 @@ class TestCalibrateInputFiles:
         "field, value, message",
         [("s0", -20.0, "s0 must be > 0"), ("s0", 0.0, "s0 must be > 0"),
          ("lambda12", -1.0, "intensities must be >= 0"), ("lambda21", -0.5, "intensities must be >= 0"),
-         ("lambda12", float("nan"), "intensities must be >= 0")],
+         ("lambda12", float("nan"), "intensities must be >= 0"), ("r", float("nan"), "r must be finite"),
+         ("r", float("1e400"), "r must be finite"), ("s0", float("1e400"), "s0 must be > 0")],
     )
     def test_invalid_market_values(self, tmp_path, capsys, quotes, field, value, message):
         err = self._run(tmp_path, capsys, quotes, {**self.MARKET, field: value})

@@ -517,26 +517,6 @@ class TestGuards:
     def test_integer_types_accepted(self):
         assert sl.CosConfig(n_terms=np.int64(64)).n_terms == 64
 
-    @pytest.mark.parametrize("price", [sl.price_put, sl.price_call])
-    @pytest.mark.parametrize("horizons", [((1.0,), (2.0,)), np.array([[1.0], [2.0]])])
-    def test_multi_horizon_cf_rejected(self, price, horizons):
-        model = bs_reduced_model(0.04, 0.5)
-        cf = sl.CharFn(model, horizons, y0=math.log(20.0 / 18.0))
-        with pytest.raises(ValueError, match="horizon"):
-            price(cf, sl.ContractSpec(18.0, 1.0, PUT))
-
-    def test_wrong_centering_rejected(self):
-        model = bs_reduced_model(0.04, 0.5)
-        cf = sl.CharFn(model, 1.0)  # y0 = log(s0), not log-moneyness
-        with pytest.raises(ValueError, match="log-moneyness"):
-            sl.price_put(cf, sl.ContractSpec(18.0, 1.0, PUT))
-
-    def test_wrong_horizon_rejected(self):
-        model = bs_reduced_model(0.04, 0.5)
-        cf = sl.CharFn(model, 2.0, y0=math.log(20.0 / 18.0))
-        with pytest.raises(ValueError, match="maturity"):
-            sl.price_put(cf, sl.ContractSpec(18.0, 1.0, PUT))
-
 
 def _dense_reference(model, contracts, config, jacobian=False):
     """Per-contract COS prices (or the eight regime-parameter derivatives)

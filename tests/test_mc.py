@@ -551,3 +551,57 @@ def test_price_takes_a_generator_as_seed(fig2a_model):
     by_generator = sl.price_european_mc(fig2a_model, contract, 5_000, seed=np.random.default_rng(9))
     assert by_int == by_generator
     assert not hasattr(by_int, "seed")
+
+
+class TestInfiniteInputs:
+    """An infinite intensity makes every sojourn 0, so a sampled path would
+    switch without end, and an infinite horizon never ends either. The
+    samplers refuse both before their first draw, as COS refuses the
+    infinite intensity (non-finite cumulants)."""
+
+    P1, P2 = sl.RegimeParams(0.01, 0.3, 2.0, 2.0), sl.RegimeParams(-0.1, 0.6, 1.0, 4.0)
+    INTENSITIES = [(math.inf, 1.0), (1.0, math.inf), (math.inf, math.inf)]
+
+    def _model(self, lambda12, lambda21):
+        return sl.SwitchingModel((self.P1, self.P2), lambda12, lambda21, sl.Family.GAMMA, 20.0, 0.04)
+
+    @pytest.mark.parametrize("intensities", INTENSITIES)
+    def test_terminal_sampler_and_price(self, intensities):
+        model = self._model(*intensities)
+        rng = np.random.default_rng(31)
+        state = rng.bit_generator.state
+        with pytest.raises(ValueError, match="finite switching intensities"):
+            sl.sample_terminal(model, 0.5, 1_000, DT, rng)
+        assert rng.bit_generator.state == state  # refused before any draw
+        for n_paths in (1_000, 200_000):  # one block, and blocks on several threads
+            with pytest.raises(ValueError, match="finite switching intensities"):
+                sl.price_european_mc(model, sl.ContractSpec(20.0, 0.5, CALL), n_paths, seed=31)
+
+    # not (inf, inf): without the check that path grows without end
+    @pytest.mark.parametrize("intensities", INTENSITIES[:2])
+    def test_path_simulation(self, intensities):
+        rng = np.random.default_rng(32)
+        state = rng.bit_generator.state
+        with pytest.raises(ValueError, match="finite switching intensities"):
+            sl.simulate_path(self._model(*intensities), 0.5, DT, rng)
+        assert rng.bit_generator.state == state
+
+    @pytest.mark.parametrize("family", list(sl.Family))
+    @pytest.mark.parametrize("intensities", INTENSITIES)
+    def test_frozen_sampler_intensity(self, family, intensities):
+        with pytest.raises(ValueError, match="finite switching intensities"):
+            sl.FrozenTerminalSampler(family, *intensities, 0.5, 1_000, seed=33)
+
+    def test_path_and_terminal_horizon(self):
+        """An infinite horizon overflowed the step count (OverflowError,
+        which the CLI does not report as an input error)."""
+        model = self._model(2.0, 1.0)
+        with pytest.raises(ValueError, match="horizon < inf"):
+            sl.simulate_path(model, math.inf, DT, np.random.default_rng(35))
+        with pytest.raises(ValueError, match="horizon < inf"):
+            sl.sample_terminal(model, math.inf, 100, DT, np.random.default_rng(35))
+
+    @pytest.mark.parametrize("family", list(sl.Family))
+    def test_frozen_sampler_horizon(self, family):
+        with pytest.raises(ValueError, match="finite horizon"):
+            sl.FrozenTerminalSampler(family, 2.0, 1.0, math.inf, 1_000, seed=34)
