@@ -68,7 +68,16 @@ class McResult:
 def simulate_path(
     model: SwitchingModel, horizon: float, dt: float, rng: np.random.Generator
 ) -> PricePath:
-    """Simulate one path on the dt grid refined by the exact switch times."""
+    """Simulate one path on the dt grid refined by the exact switch times.
+
+    The regime path is drawn first, so the times and regimes depend on
+    its draws alone. Then each regime, 1 before 2, draws the clock
+    increments of all its segments in one `sample_increment` call and
+    their normals in one `standard_normal` call, and `_leg` turns them
+    into the segments' log price increments, which sum to Z. Versions
+    that drew one increment per grid step give the same times and
+    regimes for a seed, and log prices from other draws of the same law.
+    """
     n_steps = _steps(horizon, dt)
     rp = simulate_regime_path(model, horizon, rng)
     base = np.linspace(0.0, horizon, n_steps + 1)
@@ -77,14 +86,12 @@ def simulate_path(
     regime_idx = np.searchsorted(rp.switch_times, times, side="right")
     regimes = rp.states[regime_idx]
 
-    specs = (spec_for(model.regimes[0], model.family), spec_for(model.regimes[1], model.family))
-    z = np.zeros(len(times))
-    for i in range(len(times) - 1):
-        j = regimes[i] - 1
-        dur = times[i + 1] - times[i]
-        dl = float(sample_increment(specs[j], dur, rng))
-        prm = model.regimes[j]
-        z[i + 1] = z[i] + prm.mu * dl + prm.sigma * math.sqrt(dl) * rng.standard_normal()
+    dur, z = np.diff(times), np.zeros(len(times))  # z[i + 1]: segment i's increment
+    for state, prm in enumerate(model.regimes, start=1):
+        sel = np.flatnonzero(regimes[:-1] == state)
+        dl = sample_increment(spec_for(prm, model.family), dur[sel], rng)
+        z[sel + 1] = _leg(prm, dl, rng.standard_normal(sel.size))
+    np.cumsum(z, out=z)
     return PricePath(times, z, regimes)
 
 

@@ -27,6 +27,30 @@ class TestSimulatePath:
         assert path.times[0] == 0.0 and path.times[-1] == 1.0
         np.testing.assert_array_equal(path.regimes, np.ones(len(path.times)))
 
+    @pytest.mark.parametrize("horizon", [1.0, 0.25])
+    def test_increments_follow_their_segments(self, horizon):
+        """Near-zero sigma on the identity clock: each increment is mu_j
+        times its own segment's duration, so Z_T is sum_j mu_j * (time in
+        regime j). Horizon 0.25 is 62.5 steps of DT, so the last is short."""
+        mu = np.array([0.13, -0.4])
+        prms = tuple(sl.RegimeParams(m, 1e-12, 1.0, 1.0) for m in mu)
+        model = sl.SwitchingModel(prms, 5.0, 3.0, sl.Family.IDENTITY, 20.0, 0.0)
+        path = sl.simulate_path(model, horizon, DT, np.random.default_rng(2))
+        seg_mu = mu[path.regimes[:-1] - 1]
+        assert set(path.regimes[:-1]) == {1, 2}
+        np.testing.assert_allclose(np.diff(path.log_prices), seg_mu * np.diff(path.times), rtol=0, atol=1e-9)
+        time_in = [np.diff(path.times)[path.regimes[:-1] == j].sum() for j in (1, 2)]
+        assert path.log_prices[-1] == pytest.approx(mu @ time_in, abs=1e-9)
+
+    def test_one_increment_call_per_regime(self, fig2a_model, monkeypatch):
+        """All of a regime's segments draw their clock increments in one call."""
+        calls = []
+        draw = sl.mc.sample_increment
+        monkeypatch.setattr(sl.mc, "sample_increment", lambda *a, **k: calls.append(1) or draw(*a, **k))
+        path = sl.simulate_path(fig2a_model, 1.0, DT, np.random.default_rng(2))
+        assert len(path.times) > 250
+        assert len(calls) <= 2
+
     def test_terminal_mean_matches_clock_mean(self):
         """Absorbing Gamma regime: E[Z_T] = mu alpha T / beta."""
         model = _absorbing_model(0.3, 0.5, sl.Family.GAMMA, alpha=0.8, beta=2.0)
