@@ -30,10 +30,15 @@ class CalibrationError(RuntimeError):
 
 @dataclass(frozen=True)
 class QuoteRow:
+    """One option quote; kind may be given by its string value."""
+
     maturity: float
     strike: float
     kind: OptionKind
     mid: float
+
+    def __post_init__(self) -> None:
+        object.__setattr__(self, "kind", OptionKind(self.kind))
 
 
 @dataclass(frozen=True)
@@ -117,8 +122,9 @@ class _ObjectiveState:
     """Caches the frozen MC samplers (one per OTM maturity) so the same
     random numbers drive every objective evaluation; each sampler runs
     once per evaluation and serves every OTM row of its maturity. The
-    terminal prices of the last point evaluated are kept for the Jacobian,
-    which the solver asks for at that point."""
+    Jacobian, which the solver asks for at the point it evaluated last,
+    reuses what the residuals formed there: the cosine sweep of
+    `price_table` and each Monte Carlo row's pathwise weight."""
 
     def __init__(self, quotes: QuoteTable, ctx: CalibContext, config: CalibConfig):
         self.ctx = ctx
@@ -132,18 +138,25 @@ class _ObjectiveState:
             self.samplers[t] = FrozenTerminalSampler(
                 ctx.family, ctx.lambda12, ctx.lambda21, t, config.mc_paths, config.mc_seed + i
             )
-        self._terminal: tuple = (None, {})
+        self._kept: tuple = (None, [], [])  # point, cosine sweep, Monte Carlo weights
 
     def _model(self, theta1: RegimeParams, theta2: RegimeParams) -> SwitchingModel:
         ctx = self.ctx
         return SwitchingModel((theta1, theta2), ctx.lambda12, ctx.lambda21, ctx.family, ctx.s0, ctx.r)
 
-    def _terminal_prices(self, theta1: RegimeParams, theta2: RegimeParams) -> dict[float, np.ndarray]:
-        """S_T on the frozen paths of each OTM maturity."""
-        point, terminal = self._terminal
-        if point == (theta1, theta2):
-            return terminal
-        terminal = {}
+    def residuals(self, theta1: RegimeParams, theta2: RegimeParams) -> np.ndarray:
+        """Model price minus mid, cosine rows then Monte Carlo rows, over
+        sqrt(n): its Euclidean norm is the root-mean-squared error."""
+        prices, sweep, weights = [], [], []
+        if self.cos_rows:
+            try:
+                model = self._model(theta1, theta2)
+                prices.extend(price_table(model, self.cos_contracts, self.config.cos, _sweep=sweep))
+            except Exception as exc:
+                raise CalibrationError(
+                    f"cosine pricing failed on rows {self.cos_contracts}: {exc}"
+                ) from exc
+        terminal = {}  # S_T on the frozen paths of each OTM maturity
         for maturity, sampler in self.samplers.items():
             try:
                 terminal[maturity] = self.ctx.s0 * np.exp(sampler.evaluate(theta1, theta2))
@@ -151,46 +164,32 @@ class _ObjectiveState:
                 raise CalibrationError(
                     f"Monte Carlo pricing failed at maturity T={maturity}: {exc}"
                 ) from exc
-        self._terminal = ((theta1, theta2), terminal)
-        return terminal
-
-    def residuals(self, theta1: RegimeParams, theta2: RegimeParams) -> np.ndarray:
-        """Model price minus mid, cosine rows then Monte Carlo rows, over
-        sqrt(n): its Euclidean norm is the root-mean-squared error."""
-        prices = []
-        if self.cos_rows:
-            try:
-                model = self._model(theta1, theta2)
-                prices.extend(price_table(model, self.cos_contracts, self.config.cos))
-            except Exception as exc:
-                raise CalibrationError(
-                    f"cosine pricing failed on rows {self.cos_contracts}: {exc}"
-                ) from exc
-        terminal = self._terminal_prices(theta1, theta2)
         for row in self.mc_rows:
-            payoff, _ = option_payoff(terminal[row.maturity], row.strike, row.kind)
+            payoff, weight = option_payoff(terminal[row.maturity], row.strike, row.kind)
             prices.append(math.exp(-self.ctx.r * row.maturity) * float(payoff.mean()))
+            weights.append(weight)
+        self._kept = ((theta1, theta2), sweep, weights)
         return (np.array(prices) - self.mids) / math.sqrt(self.mids.size)
 
     def jacobian(self, theta1: RegimeParams, theta2: RegimeParams) -> np.ndarray:
         """d residuals / d(theta1, theta2), shape (n, 8): the cosine rows
         from `price_table_jacobian`, the Monte Carlo rows pathwise, where a
         path adds disc times its payoff weight (`option_payoff`) times
-        dZ_T/dtheta to the row's mean."""
+        dZ_T/dtheta to the row's mean. Both reuse what `residuals` formed
+        at the point, evaluating it first if it was not the last one."""
+        if self._kept[0] != (theta1, theta2):
+            self.residuals(theta1, theta2)
+        _, sweep, weights = self._kept
         jac = np.empty((self.mids.size, 8))
         n_cos = len(self.cos_rows)
         if self.cos_rows:
             model = self._model(theta1, theta2)
-            jac[:n_cos] = price_table_jacobian(model, self.cos_contracts, self.config.cos)
-        terminal = self._terminal_prices(theta1, theta2)
+            jac[:n_cos] = price_table_jacobian(model, self.cos_contracts, self.config.cos, _sweep=sweep)
         for maturity, sampler in self.samplers.items():
-            s_t = terminal[maturity]
             rows = [i for i, row in enumerate(self.mc_rows) if row.maturity == maturity]
-            weights = np.stack(
-                [option_payoff(s_t, self.mc_rows[i].strike, self.mc_rows[i].kind)[1] for i in rows]
-            )
-            weights *= math.exp(-self.ctx.r * maturity) / s_t.size
-            jac[n_cos + np.array(rows)] = sampler.weighted_gradient(theta1, theta2, weights)
+            stacked = np.stack([weights[i] for i in rows])
+            stacked *= math.exp(-self.ctx.r * maturity) / stacked.shape[1]
+            jac[n_cos + np.array(rows)] = sampler.weighted_gradient(theta1, theta2, stacked)
         return jac / math.sqrt(self.mids.size)
 
     def evaluate(self, theta1: RegimeParams, theta2: RegimeParams) -> float:

@@ -231,9 +231,10 @@ def _entries(a: np.ndarray):
     return a[:, 0, 0], a[:, 1, 1], a[:, 0, 1], a[:, 1, 0]
 
 
-def _row_sum(a11, a22, a12, a21):
-    """e_1^T exp(A) [1, 1]^T from the entries of A, broadcast arrays."""
-    _, h, _, _, cosh_part, sinh_part = _row_sum_parts(a11, a22, a12, a21)
+def _row_sum(a11, a22, a12, a21, parts=None):
+    """e_1^T exp(A) [1, 1]^T from the entries of A, broadcast arrays, and
+    their `_row_sum_parts` when already formed."""
+    _, h, _, _, cosh_part, sinh_part = parts or _row_sum_parts(a11, a22, a12, a21)
     return cosh_part + sinh_part * (h + a12)
 
 
@@ -254,8 +255,9 @@ def expm_row_sum_grad(a: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray
     return _row_sum_grad(*_entries(a))
 
 
-def _row_sum_grad(a11, a22, a12, a21):
-    """`expm_row_sum_grad` on the entries of A, broadcast arrays.
+def _row_sum_grad(a11, a22, a12, a21, parts=None):
+    """`expm_row_sum_grad` on the entries of A, broadcast arrays, and their
+    `_row_sum_parts` when already formed.
 
     With f = e^m [cosh d + S (h + a12)], S = sinh(d)/d, d^2 = h^2 + a12 a21
     and T = dS/d(d^2) = (cosh d - S) / (2 d^2),
@@ -270,7 +272,7 @@ def _row_sum_grad(a11, a22, a12, a21):
     taken from its series for |d| < 1, which avoids the 0/0 limit at a
     defective A, and from the cosh and sinh parts otherwise.
     """
-    m, h, d, small, cosh_part, sinh_part = _row_sum_parts(a11, a22, a12, a21)
+    m, h, d, small, cosh_part, sinh_part = parts or _row_sum_parts(a11, a22, a12, a21)
     f = cosh_part + sinh_part * (h + a12)
     d2 = d * d
     t_part = (cosh_part - sinh_part) / (2.0 * np.where(small, 1.0, d2))

@@ -30,7 +30,9 @@ from scipy.special import ndtr
 from .charfn import (
     CharFn,
     _phi_entries,
+    _row_sum,
     _row_sum_grad,
+    _row_sum_parts,
     increment_cumulants,
     regime_char_exponent_grad,
     switching_cf,
@@ -49,11 +51,14 @@ class OptionKind(str, Enum):
 
 @dataclass(frozen=True)
 class ContractSpec:
+    """One European option; kind may be given by its string value."""
+
     strike: float
     maturity: float
     kind: OptionKind
 
     def __post_init__(self) -> None:
+        object.__setattr__(self, "kind", OptionKind(self.kind))
         if not 0 < self.strike < math.inf:
             raise ValueError(f"strike must be finite and > 0, got {self.strike}")
         if not 0 < self.maturity < math.inf:
@@ -312,55 +317,88 @@ def _payoff_sums(terms: np.ndarray, strikes: np.ndarray, a, b, width, counts=Non
     return np.where(span > 0.0, (2.0 * strikes[:, None] / widths) * total, 0.0)
 
 
-def _grid_sums(model: SwitchingModel, contracts: Sequence[ContractSpec], config: CosConfig, cf_rows):
-    """Discounted cosine sums of a grid, for both `price_table` and
-    `price_table_jacobian`, with one sweep over all maturities.
+class _Sweep:
+    """The CF sweep of a grid of contracts over its maturities at y0 = 0,
+    which `price_table` and `price_table_jacobian` sum alike (`sums`).
 
-    The contracts are taken in `_by_maturity` groups. cf_rows(base, u)
-    gives J rows (the CF or its derivatives) per maturity, shape (M, J, n),
-    of the y0 = 0 CF `base` whose M maturities form an (M, 1) array of
-    horizons. Returns the input positions of the grouped contracts and, in
-    that order, the strikes, the discount factors and the discounted sums,
-    shape (K, J).
+    The contracts are taken in `_by_maturity` groups: `order` holds their
+    input positions, and strikes, x0 = log(s0/K) and disc (the discount
+    factors) follow it. The M maturities form an (M, 1) array of horizons
+    of the CF `base`. Maturity m has the interval [a0, b0] of the log
+    return (`truncation_interval` of base, automatic or user), its width W
+    and its u row k pi / W, so u has shape (M, n); a strike's interval is
+    [x0 + a0, x0 + b0].
 
-    A contract's sum is Sum_k Re(rows_k e^{i u_k (x0 - a)}) V_k with
-    x0 = log(s0/K), the first term halved. Maturity m has the interval
-    [a0, b0] of the log return (`truncation_interval` of `base`, automatic
-    or user), and a strike's interval is [x0 + a0, x0 + b0]. The width W,
-    the u row k pi / W and the phase u (x0 - a) = -u a0 are the maturity's,
-    so the term rows are too, and `_payoff_sums` takes each strike's own
-    [a, b]: no table with a row per contract is formed.
+    `keep` forms and holds the phases e^{-i u a0}, the entries of t Phi(u)
+    and their `_row_sum_parts`, which `price_table_jacobian` at the same
+    model, contracts and config then reuses. A sweep not kept forms the
+    phases in each `sums` call and holds nothing else.
     """
-    by_t = _by_maturity(contracts)
-    order = [i for idx in by_t.values() for i in idx]
-    counts = [len(idx) for idx in by_t.values()]
-    strikes = np.array([contracts[i].strike for i in order])
-    x0 = np.log(model.s0 / strikes)
-    disc = np.array([math.exp(-model.r * t) for t in by_t]).repeat(counts)
-    base = CharFn(model, np.array(list(by_t))[:, None], y0=0.0)
-    a0, b0 = truncation_interval(base, config)
-    width, n = b0 - a0, config.n_terms
-    rows = cf_rows(base, np.arange(n) * np.pi / width)
-    terms = np.real(rows * _powers(np.pi * -a0 / width, n))  # e^{-i u a0}
-    terms[..., 0] *= 0.5
-    sums = _payoff_sums(terms, strikes, x0 + a0.repeat(counts), x0 + b0.repeat(counts), width, counts)
-    return order, strikes, disc, disc[:, None] * sums
+
+    def __init__(self, model: SwitchingModel, contracts: Sequence[ContractSpec], config: CosConfig):
+        by_t = _by_maturity(contracts)
+        self.order = [i for idx in by_t.values() for i in idx]
+        self.counts = [len(idx) for idx in by_t.values()]
+        self.strikes = np.array([contracts[i].strike for i in self.order])
+        self.x0 = np.log(model.s0 / self.strikes)
+        self.disc = np.array([math.exp(-model.r * t) for t in by_t]).repeat(self.counts)
+        self.base = CharFn(model, np.array(list(by_t))[:, None], y0=0.0)
+        self.a0, self.b0 = truncation_interval(self.base, config)
+        self.width = self.b0 - self.a0
+        self.u = np.arange(config.n_terms) * np.pi / self.width
+        self.phases = self.entries = self.parts = None
+
+    def keep(self) -> None:
+        self.phases = self._phases()
+        self.entries = _phi_entries(self.base.model, self.base.t, self.u)
+        self.parts = _row_sum_parts(*self.entries)
+
+    def _phases(self) -> np.ndarray:
+        return _powers(np.pi * -self.a0 / self.width, self.u.shape[-1])  # e^{-i u a0}
+
+    def sums(self, rows: np.ndarray) -> np.ndarray:
+        """Discounted cosine sums, shape (K, J), in `order`, of J rows (the
+        CF or its derivatives) per maturity, shape (M, J, n).
+
+        A contract's sum is Sum_k Re(rows_k e^{i u_k (x0 - a)}) V_k with
+        a = x0 + a0, the first term halved. The phase u (x0 - a) = -u a0 is
+        the maturity's, so the term rows are too, and `_payoff_sums` takes
+        each strike's own [a, b]: no table with a row per contract is
+        formed.
+        """
+        terms = np.real(rows * (self._phases() if self.phases is None else self.phases))
+        terms[..., 0] *= 0.5
+        a, b = (self.x0 + x.repeat(self.counts) for x in (self.a0, self.b0))
+        return self.disc[:, None] * _payoff_sums(terms, self.strikes, a, b, self.width, self.counts)
 
 
 def price_table(
     model: SwitchingModel,
     contracts: Sequence[ContractSpec],
     config: CosConfig = CosConfig(),
+    *,
+    _sweep: list | None = None,
 ) -> np.ndarray:
     """COS prices of a grid of contracts, in the order of `contracts`, from
-    one CF sweep over all maturities at y0 = 0 summed by `_grid_sums`."""
+    one CF sweep over all maturities (`_Sweep`).
+
+    _sweep: a list to which the call appends its sweep, kept, for
+    `price_table_jacobian` at the same arguments; the prices are the same
+    to the bit.
+    """
     prices = np.empty(len(contracts))
     if not len(contracts):
         return prices
-    order, strikes, disc, sums = _grid_sums(model, contracts, config, lambda cf, u: switching_cf(cf, u)[:, None, :])
-    puts = _guard_put_sums(sums[:, 0], strikes)
-    is_call = np.array([contracts[i].kind is OptionKind.CALL for i in order])
-    prices[order] = np.where(is_call, puts + model.s0 - strikes * disc, puts)
+    sweep = _Sweep(model, contracts, config)
+    if _sweep is None:
+        cf = switching_cf(sweep.base, sweep.u)
+    else:
+        sweep.keep()
+        _sweep.append(sweep)
+        cf = _row_sum(*sweep.entries, parts=sweep.parts)
+    puts = _guard_put_sums(sweep.sums(cf[:, None, :])[:, 0], sweep.strikes)
+    is_call = np.array([contracts[i].kind is OptionKind.CALL for i in sweep.order])
+    prices[sweep.order] = np.where(is_call, puts + model.s0 - sweep.strikes * sweep.disc, puts)
     return prices
 
 
@@ -368,36 +406,42 @@ def price_table_jacobian(
     model: SwitchingModel,
     contracts: Sequence[ContractSpec],
     config: CosConfig = CosConfig(),
+    *,
+    _sweep: list | None = None,
 ) -> np.ndarray:
     """Derivatives of the `price_table` prices in (mu, sigma, alpha, beta)
     of regime 1 then regime 2, shape (len(contracts), 8).
 
     A parameter of regime j enters Phi(u) only through its diagonal entry
     Psi_j, so d phi/d theta = t (df/da_jj) dPsi_j/dtheta with f the row sum
-    of exp(t Phi(u)); the eight derivative rows of every maturity go
-    through the same `_grid_sums` as the prices, with the truncation
-    interval held at its value at the model. Calls and puts share their
+    of exp(t Phi(u)); the eight derivative rows of every maturity are
+    summed by the same `_Sweep` as the prices, with the truncation interval
+    held at its value at the model. Calls and puts share their
     sensitivities (put-call parity).
+
+    _sweep: a list holding the sweep that `price_table` kept at the same
+    arguments, whose interval, u grid, phases, Phi(u) entries and
+    `_row_sum_parts` are then reused; the derivatives are the same to the
+    bit.
     """
     jac = np.empty((len(contracts), 8))
     if not len(contracts):
         return jac
-
-    def derivative_rows(base, u):
-        t = base.t
-        _, df_da11, df_da22 = _row_sum_grad(*_phi_entries(model, t, u))
-        grad1, grad2 = (np.moveaxis(regime_char_exponent_grad(p, model.family, u), 0, -2) for p in model.regimes)
-        return t[..., None] * np.concatenate([df_da11[:, None] * grad1, df_da22[:, None] * grad2], axis=1)
-
-    order, _, _, sums = _grid_sums(model, contracts, config, derivative_rows)
-    jac[order] = sums
+    sweep = _sweep[0] if _sweep else _Sweep(model, contracts, config)
+    entries = sweep.entries or _phi_entries(model, sweep.base.t, sweep.u)
+    _, df_da11, df_da22 = _row_sum_grad(*entries, parts=sweep.parts)
+    grad1, grad2 = (np.moveaxis(regime_char_exponent_grad(p, model.family, sweep.u), 0, -2) for p in model.regimes)
+    rows = np.concatenate([df_da11[:, None] * grad1, df_da22[:, None] * grad2], axis=1)
+    jac[sweep.order] = sweep.sums(sweep.base.t[..., None] * rows)
     return jac
 
 
 def bs_closed_form(
     s0: float, strike: float, r: float, sigma: float, maturity: float, kind: OptionKind
 ) -> float:
-    """Black-Scholes reference price (oracle for the identity reduction)."""
+    """Black-Scholes reference price (oracle for the identity reduction);
+    kind may be given by its string value."""
+    kind = OptionKind(kind)
     if min(s0, strike, maturity) <= 0 or sigma < 0:
         raise ValueError("inputs must be positive (sigma >= 0)")
     disc = math.exp(-r * maturity)

@@ -37,9 +37,9 @@ from .subordinators import (
 
 Z95 = 1.959964  # two-sided 95% normal quantile
 _BLOCK = 1 << 16
-# subordinator increments kept per frozen leg: a base point and its alpha
-# and beta probes, so the base is still kept when the optimizer returns to it
-_KEPT_INCREMENTS = 3
+# subordinator increments kept per frozen leg: a base point, its alpha and
+# beta probes and the earlier points that a line search comes back to
+_KEPT_INCREMENTS = 8
 _GAMMA_ALPHA_REL_STEP = 1e-6
 
 

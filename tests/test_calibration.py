@@ -1,3 +1,4 @@
+import math
 from dataclasses import replace
 
 import numpy as np
@@ -381,6 +382,45 @@ class TestJacobian:
         rounds = sum(len(s._rounds) for s in state.samplers.values())
         assert len(calls) == (rounds if family is GAMMA else 0)
 
+    def test_one_sweep_per_point(self, monkeypatch):
+        """The residuals form the Phi(u) entries and their eigenvalue parts
+        once; the Jacobian at that point forms neither again."""
+        state, theta = self._state(IG)
+        calls = {"_phi_entries": 0, "_row_sum_parts": 0}
+        for name in calls:
+            formed = getattr(sl.charfn, name)
+
+            def counting(*args, _formed=formed, _name=name):
+                calls[_name] += 1
+                return _formed(*args)
+
+            for module in (sl.charfn, sl.cos):
+                monkeypatch.setattr(module, name, counting, raising=False)
+        state.residuals(*theta)
+        assert calls == {"_phi_entries": 1, "_row_sum_parts": 1}
+        state.jacobian(*theta)
+        assert calls == {"_phi_entries": 1, "_row_sum_parts": 1}
+
+    @pytest.mark.parametrize("family", [IG, GAMMA])
+    def test_kept_sweep_is_bit_identical(self, family):
+        """The Jacobian at the evaluated point equals, to the bit, the one
+        formed afresh: the cosine rows from a plain `price_table_jacobian`
+        call, the Monte Carlo rows from payoff weights on new terminal
+        prices."""
+        state, theta = self._state(family)
+        state.residuals(*theta)
+        ctx, n_cos = state.ctx, len(state.cos_rows)
+        model = sl.SwitchingModel(theta, ctx.lambda12, ctx.lambda21, family, ctx.s0, ctx.r)
+        expected = np.empty((state.mids.size, 8))
+        expected[:n_cos] = sl.cos.price_table_jacobian(model, state.cos_contracts, state.config.cos)
+        for maturity, sampler in state.samplers.items():
+            s_t = ctx.s0 * np.exp(sampler.evaluate(*theta))
+            rows = [i for i, row in enumerate(state.mc_rows) if row.maturity == maturity]
+            weights = np.stack([sl.mc.option_payoff(s_t, state.mc_rows[i].strike, state.mc_rows[i].kind)[1] for i in rows])
+            weights *= math.exp(-ctx.r * maturity) / s_t.size
+            expected[n_cos + np.array(rows)] = sampler.weighted_gradient(*theta, weights)
+        np.testing.assert_array_equal(state.jacobian(*theta), expected / np.sqrt(state.mids.size))
+
     def test_calls_and_puts_share_cosine_sensitivities(self):
         model = _model(_context(), _true_params(_context()))
         contracts = [sl.ContractSpec(19.0, 0.75, kind) for kind in (CALL, PUT)]
@@ -415,6 +455,14 @@ def test_is_otm_rule():
     assert not is_otm(sl.QuoteRow(1.0, 21.0, CALL, 1.0), 20.0, cfg)
     assert is_otm(sl.QuoteRow(1.0, 18.0, PUT, 1.0), 20.0, cfg)
     assert not is_otm(sl.QuoteRow(1.0, 19.5, PUT, 1.0), 20.0, cfg)
+
+
+def test_is_otm_takes_the_kind_by_value():
+    from switchlevy.calibration import is_otm
+
+    row = sl.QuoteRow(1.0, 22.0, "call", 1.0)
+    assert row.kind is CALL
+    assert is_otm(row, 20.0, sl.CalibConfig())
 
 
 def test_init_outside_bounds_names_the_value():

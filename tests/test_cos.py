@@ -440,6 +440,39 @@ class TestBsClosedForm:
             sl.bs_closed_form(-1.0, 1.0, 0.0, 0.2, 1.0, CALL)
 
 
+class TestKindByValue:
+    """An option kind may be given by its string value, as a family may;
+    any other value is rejected instead of priced as a put."""
+
+    def test_string_call_prices_as_the_call(self):
+        regimes = (sl.RegimeParams(0.01, 0.3, 2.0, 2.0), sl.RegimeParams(-0.1, 0.6, 1.0, 4.0))
+        model = sl.SwitchingModel(regimes, 2.5, 1.0, sl.Family.INVERSE_GAUSSIAN, 20.0, 0.04)
+        by_value = [sl.ContractSpec(22.0, 1.0, kind) for kind in ("call", "put")]
+        assert [c.kind for c in by_value] == [CALL, PUT]
+        prices = sl.price_table(model, by_value)
+        np.testing.assert_array_equal(prices, sl.price_table(model, [sl.ContractSpec(22.0, 1.0, k) for k in (CALL, PUT)]))
+        assert prices == pytest.approx([1.9071, 3.0445], abs=1e-4)
+
+    def test_bs_closed_form_takes_the_string(self):
+        for kind in (CALL, PUT):
+            assert sl.bs_closed_form(20.0, 22.0, 0.04, 0.3, 1.0, kind.value) == sl.bs_closed_form(
+                20.0, 22.0, 0.04, 0.3, 1.0, kind
+            )
+
+    @pytest.mark.parametrize(
+        "make",
+        [
+            lambda kind: sl.ContractSpec(22.0, 1.0, kind),
+            lambda kind: sl.QuoteRow(1.0, 22.0, kind, 1.0),
+            lambda kind: sl.bs_closed_form(20.0, 22.0, 0.04, 0.3, 1.0, kind),
+        ],
+        ids=["ContractSpec", "QuoteRow", "bs_closed_form"],
+    )
+    def test_unknown_kind_rejected(self, make):
+        with pytest.raises(ValueError, match="straddle"):
+            make("straddle")
+
+
 class TestGuards:
     def test_truncation_noise_clipped_with_warning(self):
         with warnings.catch_warnings(record=True) as caught:
@@ -648,6 +681,23 @@ class TestGridSweep:
         contracts = [sl.ContractSpec(k, t, kind) for k, t, kind in self.GRID]
         sl.price_table(self._model(sl.Family.GAMMA), contracts, sl.CosConfig(interval=interval))
         assert calls == {"cf": 1, "cumulants": 1 if interval is None else 0}
+
+    @pytest.mark.parametrize("family", list(sl.Family))
+    @pytest.mark.parametrize("interval", [None, (-3.0, 3.0)])
+    def test_kept_sweep_is_bit_identical(self, family, interval):
+        """A sweep that `price_table` keeps gives the same prices, and
+        `price_table_jacobian` the same derivatives from it, to the bit."""
+        model = self._model(family)
+        config = sl.CosConfig(n_terms=64 if family is sl.Family.IDENTITY else 256, interval=interval)
+        contracts = [sl.ContractSpec(k, t, kind) for k, t, kind in self.GRID]
+        kept = []
+        prices = sl.price_table(model, contracts, config, _sweep=kept)
+        assert len(kept) == 1
+        np.testing.assert_array_equal(prices, sl.price_table(model, contracts, config))
+        np.testing.assert_array_equal(
+            sl.cos.price_table_jacobian(model, contracts, config, _sweep=kept),
+            sl.cos.price_table_jacobian(model, contracts, config),
+        )
 
     @pytest.mark.parametrize("family", list(sl.Family))
     def test_user_interval_equal_to_automatic_is_bit_identical(self, family):

@@ -437,6 +437,23 @@ class TestMleFit:
         assert np.abs(cf_fit - cf_true).max() < 1e-2
         assert sl.ParamBounds().contains(fit.params)
 
+    def test_gamma_fit_transforms_each_alpha_once(self, monkeypatch):
+        """The Gamma increments depend on alpha alone, and the sampler keeps
+        enough of them that an alpha the search comes back to is not
+        transformed again (with 3 kept, this fit made 124 transforms)."""
+        theta = sl.RegimeParams(0.1, 0.4, 1.5, 2.0)
+        z = single_regime_increments(theta, GAMMA, DT, 5000, np.random.default_rng(45))
+        alphas = []
+        transform = sl.mc.increment_from_draws
+
+        def counting(spec, *args):
+            alphas.append(spec.alpha)
+            return transform(spec, *args)
+
+        monkeypatch.setattr(sl.mc, "increment_from_draws", counting)
+        sl.mle_fit(z, GAMMA, init=sl.mom_fit(z, GAMMA, dt=DT).params, seed=5, dt=DT)
+        assert len(alphas) == len(set(alphas)) == 122
+
     def test_search_survives_floored_trial_points(self):
         """The IG fit on the regime-2 returns of the acceptance-9 model: the
         first L-BFGS-B trial point is the box corner (mu=-1, sigma=1e-6,
