@@ -51,9 +51,7 @@ def cmd_price(args) -> int:
     if args.method == "cos":
         prices = price_table(model, contracts, CosConfig(n_terms=args.n_terms))
         header = ["maturity", "strike", "kind", "price", "method"]
-        rows = [
-            [c.maturity, c.strike, c.kind.value, repr(float(p)), "cos"] for c, p in zip(contracts, prices)
-        ]
+        rows = [[c.maturity, c.strike, c.kind.value, p, "cos"] for c, p in zip(contracts, prices.tolist())]
     else:
         rng = np.random.default_rng(args.seed)
         header = ["maturity", "strike", "kind", "price", "method", "std_error", "ci_lo", "ci_hi", "n_paths"]
@@ -61,8 +59,7 @@ def cmd_price(args) -> int:
         for c in contracts:
             res = price_european_mc(model, c, args.paths, dt=args.dt, seed=rng)
             rows.append(
-                [c.maturity, c.strike, c.kind.value, repr(res.price), "mc",
-                 repr(res.std_error), repr(res.ci95[0]), repr(res.ci95[1]), res.n_paths]
+                [c.maturity, c.strike, c.kind.value, res.price, "mc", res.std_error, *res.ci95, res.n_paths]
             )
     write_csv(args.out, header, rows)
     print(f"wrote {len(contracts)} prices to {args.out}")
@@ -73,9 +70,7 @@ def cmd_simulate(args) -> int:
     model = load_model(args.model)
     rng = np.random.default_rng(args.seed)
     path = simulate_path(model, args.horizon, args.dt, rng)
-    rows = [
-        [repr(float(t)), repr(float(z)), int(s)] for t, z, s in zip(path.times, path.log_prices, path.regimes)
-    ]
+    rows = zip(path.times.tolist(), path.log_prices.tolist(), path.regimes.tolist())
     write_csv(args.out, ["time", "log_price", "regime"], rows)
     print(f"wrote {len(path.times)} grid points to {args.out}")
     return 0
@@ -86,8 +81,7 @@ def cmd_plot_cf(args) -> int:
     cf = CharFn(model, args.t)
     u = np.linspace(args.umin, args.umax, args.n)
     phi = switching_cf(cf, u)
-    rows = [[repr(float(ui)), repr(float(pi.real)), repr(float(pi.imag))] for ui, pi in zip(u, phi)]
-    write_csv(args.out, ["u", "re", "im"], rows)
+    write_csv(args.out, ["u", "re", "im"], zip(u.tolist(), phi.real.tolist(), phi.imag.tolist()))
     print(f"wrote characteristic function on [{args.umin}, {args.umax}] to {args.out}")
     return 0
 
@@ -95,7 +89,10 @@ def cmd_plot_cf(args) -> int:
 def _parse_rule(text: str):
     kind, _, value = text.partition(":")
     if kind == "threshold":
-        return AbsThreshold(float(value))
+        try:
+            return AbsThreshold(float(value))
+        except ValueError as exc:
+            raise DataError(f"regime rule '{text}': {exc}") from exc
     if kind == "windows":
         return load_windows(value)
     raise DataError(f"unknown regime rule '{text}' (use threshold:<c> or windows:<file>)")
@@ -188,7 +185,7 @@ def cmd_payoff_surface(args) -> int:
     kind = OptionKind(args.kind)
     contracts = [ContractSpec(float(k), float(t), kind) for t in maturities for k in strikes]
     prices = price_table(model, contracts, CosConfig(n_terms=args.n_terms))
-    rows = [[c.maturity, c.strike, repr(float(p))] for c, p in zip(contracts, prices)]
+    rows = [[c.maturity, c.strike, p] for c, p in zip(contracts, prices.tolist())]
     write_csv(args.out, ["maturity", "strike", "price"], rows)
     print(f"wrote {len(contracts)} surface points to {args.out}")
     return 0

@@ -1,6 +1,7 @@
 """File formats: every file the command line reads or writes.
 
-Inputs, each rejected with a DataError that names the file:
+Inputs, each rejected with a DataError that names the file (and, for a
+CSV row, its line); a CSV may start with a UTF-8 byte-order mark:
 - price CSV `date,price` (`load_prices`): a daily history;
 - quote CSV `maturity,strike,kind,mid` (`load_quotes`): option quotes;
 - grid CSV `maturity,strike,kind` (`load_grid`): contracts to price;
@@ -14,6 +15,10 @@ Inputs, each rejected with a DataError that names the file:
 
 Outputs: a CSV table with a header row (`write_csv`), and a JSON document
 with 2-space indent, sorted keys and a trailing newline (`write_json`).
+`csv.writer` formats every CSV cell, and lines end in CRLF. A float cell
+is the float's repr, the shortest text that reads back to the same
+double, so callers pass Python scalars (`ndarray.tolist()`), not numpy
+ones, whose repr is `np.float64(...)` under numpy 2.
 The command line's layouts:
 - `price`: maturity, strike, kind, price, method, and for Monte Carlo also
   std_error, ci_lo, ci_hi, n_paths;
@@ -50,21 +55,27 @@ class DataError(ValueError):
     pass
 
 
-def _csv_rows(path, columns: tuple[str, ...]):
-    """Yield (line number, row) for each nonblank data row of a CSV whose
-    header starts with columns; a row with fewer fields raises DataError."""
+def _csv_rows(path, columns: tuple[str, ...], parse) -> list:
+    """parse(row) for each nonblank data row of a CSV whose header starts
+    with columns; a short row, or a ValueError from parse, raises a
+    DataError that names the file and line."""
     expected = ",".join(columns)
-    with open(path, newline="") as fh:
+    with open(path, newline="", encoding="utf-8-sig") as fh:
         reader = csv.reader(fh)
         header = next(reader, None)
         if header is None or [c.strip().lower() for c in header[: len(columns)]] != list(columns):
             raise DataError(f"{path}: expected header '{expected}', got {header}")
+        parsed = []
         for lineno, row in enumerate(reader, start=2):
-            if not row or all(not c.strip() for c in row):
+            if not any(c.strip() for c in row):
                 continue
-            if len(row) < len(columns):
-                raise DataError(f"{path} line {lineno}: expected '{expected}', got {row}")
-            yield lineno, row
+            try:
+                if len(row) < len(columns):
+                    raise ValueError(f"expected '{expected}', got {row}")
+                parsed.append(parse(row))
+            except ValueError as exc:
+                raise DataError(f"{path} line {lineno}: {exc}") from exc
+        return parsed
 
 
 def load_prices(path) -> ReturnSeries:
@@ -74,19 +85,18 @@ def load_prices(path) -> ReturnSeries:
     count of replacements is kept on the returned series.
     """
     dates: list[date] = []
-    prices: list[float] = []
-    for lineno, row in _csv_rows(path, ("date", "price")):
-        try:
-            d = date.fromisoformat(row[0].strip())
-            p = float(row[1])
-        except ValueError as exc:
-            raise DataError(f"{path} line {lineno}: {exc}") from exc
+
+    def parse(row) -> float:
+        d = date.fromisoformat(row[0].strip())
+        p = float(row[1])
         if not math.isfinite(p):
-            raise DataError(f"{path} line {lineno}: price {p} is not finite")
+            raise ValueError(f"price {p} is not finite")
         if dates and d <= dates[-1]:
-            raise DataError(f"{path} line {lineno}: dates must be strictly increasing")
+            raise ValueError("dates must be strictly increasing")
         dates.append(d)
-        prices.append(p)
+        return p
+
+    prices = _csv_rows(path, ("date", "price"), parse)
     if len(prices) < 2:
         raise DataError(f"{path}: need at least 2 rows, got {len(prices)}")
     arr = np.asarray(prices)
@@ -98,19 +108,13 @@ def load_prices(path) -> ReturnSeries:
 
 def load_quotes(path) -> QuoteTable:
     """Read a 'maturity,strike,kind,mid' CSV into a validated quote table."""
-    rows: list[QuoteRow] = []
-    for lineno, row in _csv_rows(path, ("maturity", "strike", "kind", "mid")):
-        try:
-            rows.append(
-                QuoteRow(
-                    maturity=float(row[0]),
-                    strike=float(row[1]),
-                    kind=OptionKind(row[2].strip().lower()),
-                    mid=float(row[3]),
-                )
-            )
-        except ValueError as exc:
-            raise DataError(f"{path} line {lineno}: {exc}") from exc
+    rows = _csv_rows(
+        path,
+        ("maturity", "strike", "kind", "mid"),
+        lambda row: QuoteRow(
+            float(row[0]), float(row[1]), OptionKind(row[2].strip().lower()), float(row[3])
+        ),
+    )
     try:
         return QuoteTable(tuple(rows))
     except ValueError as exc:
@@ -119,24 +123,28 @@ def load_quotes(path) -> QuoteTable:
 
 def load_grid(path) -> list[ContractSpec]:
     """Read a 'maturity,strike,kind' CSV into a nonempty contract list."""
-    contracts = []
-    for lineno, row in _csv_rows(path, ("maturity", "strike", "kind")):
-        try:
-            contracts.append(ContractSpec(float(row[1]), float(row[0]), OptionKind(row[2].strip().lower())))
-        except ValueError as exc:
-            raise DataError(f"{path} line {lineno}: {exc}") from exc
+    contracts = _csv_rows(
+        path,
+        ("maturity", "strike", "kind"),
+        lambda row: ContractSpec(float(row[1]), float(row[0]), OptionKind(row[2].strip().lower())),
+    )
     if not contracts:
         raise DataError(f"{path}: no contracts found")
     return contracts
 
 
-def _read_json(path):
-    """The JSON document in path; an unreadable or malformed file raises a
-    DataError that names it."""
+def _load_json(path, needs: str, build):
+    """build(doc) for the JSON document in path. An unreadable or malformed
+    file raises a DataError that names it; a KeyError, TypeError or
+    ValueError from build raises one that also says what the file needs."""
     try:
-        return json.loads(Path(path).read_text())
-    except (OSError, json.JSONDecodeError) as exc:
+        doc = json.loads(Path(path).read_text())
+    except (OSError, ValueError) as exc:
         raise DataError(f"{path}: {exc}") from exc
+    try:
+        return build(doc)
+    except (KeyError, TypeError, ValueError) as exc:
+        raise DataError(f"{path}: {needs}: {exc}") from exc
 
 
 def write_json(path, doc) -> None:
@@ -179,17 +187,16 @@ def regimes_from_dict(doc: dict) -> tuple[RegimeParams, ...]:
 
 
 def model_from_dict(doc: dict) -> SwitchingModel:
-    try:
-        return SwitchingModel(
-            regimes=regimes_from_dict(doc),
-            lambda12=float(doc["lambda12"]),
-            lambda21=float(doc["lambda21"]),
-            family=doc["family"],
-            s0=float(doc["s0"]),
-            r=float(doc["r"]),
-        )
-    except (KeyError, TypeError, ValueError) as exc:
-        raise DataError(f"invalid model document: {exc}") from exc
+    """The model of a model document; raises KeyError, TypeError or
+    ValueError on a malformed one."""
+    return SwitchingModel(
+        regimes=regimes_from_dict(doc),
+        lambda12=float(doc["lambda12"]),
+        lambda21=float(doc["lambda21"]),
+        family=doc["family"],
+        s0=float(doc["s0"]),
+        r=float(doc["r"]),
+    )
 
 
 def save_model(model: SwitchingModel, path) -> None:
@@ -197,31 +204,22 @@ def save_model(model: SwitchingModel, path) -> None:
 
 
 def load_model(path) -> SwitchingModel:
-    doc = _read_json(path)
-    try:
-        return model_from_dict(doc)
-    except DataError as exc:
-        raise DataError(f"{path}: {exc}") from exc
+    return _load_json(path, "invalid model document", model_from_dict)
 
 
 def load_market(path, family: Family | str) -> CalibContext:
     """Read a market JSON (s0, r, lambda12, lambda21) into the fixed market
     data of a calibration with subordinator family `family` (a Family or
     its string value)."""
-    doc = _read_json(path)
-    try:
+    def build(doc) -> CalibContext:
         return CalibContext(family, *(float(doc[key]) for key in ("lambda12", "lambda21", "s0", "r")))
-    except (KeyError, TypeError, ValueError) as exc:
-        raise DataError(f"{path}: needs s0, r, lambda12, lambda21: {exc}") from exc
+
+    return _load_json(path, "needs s0, r, lambda12, lambda21", build)
 
 
 def load_init(path) -> tuple[RegimeParams, RegimeParams]:
     """Read an init JSON: a "regimes" list of exactly two parameter blocks."""
-    doc = _read_json(path)
-    try:
-        init = regimes_from_dict(doc)
-    except (KeyError, TypeError, ValueError) as exc:
-        raise DataError(f"{path}: needs regimes with mu, sigma, alpha, beta: {exc}") from exc
+    init = _load_json(path, "needs regimes with mu, sigma, alpha, beta", regimes_from_dict)
     if len(init) != 2:
         raise DataError(f"{path}: needs exactly 2 regimes, got {len(init)}")
     return init
@@ -229,11 +227,7 @@ def load_init(path) -> tuple[RegimeParams, RegimeParams]:
 
 def load_windows(path) -> DateWindows:
     """Read a JSON list of [start, end] ISO date pairs (regime-1 windows)."""
-    doc = _read_json(path)
-    try:
-        windows = tuple(
-            (date.fromisoformat(start), date.fromisoformat(end)) for start, end in doc
-        )
-    except (TypeError, ValueError) as exc:
-        raise DataError(f"{path}: invalid windows file: {exc}") from exc
-    return DateWindows(windows)
+    def build(doc) -> DateWindows:
+        return DateWindows(tuple((date.fromisoformat(start), date.fromisoformat(end)) for start, end in doc))
+
+    return _load_json(path, "invalid windows file", build)

@@ -58,12 +58,21 @@ class AbsThreshold:
 
     cutoff: float
 
+    def __post_init__(self) -> None:
+        if not (math.isfinite(self.cutoff) and self.cutoff >= 0):
+            raise ValueError(f"cutoff must be finite and nonnegative, got {self.cutoff}")
+
 
 @dataclass(frozen=True)
 class DateWindows:
     """Regime 1 inside any [start, end] window (inclusive), regime 2 outside."""
 
     windows: tuple[tuple[date, date], ...]
+
+    def __post_init__(self) -> None:
+        for start, end in self.windows:
+            if end < start:
+                raise ValueError(f"window [{start}, {end}] is reversed")
 
 
 @dataclass(frozen=True)
@@ -142,8 +151,6 @@ def segment_regimes(series: ReturnSeries, rule) -> np.ndarray:
     if isinstance(rule, DateWindows):
         d0, d1 = series.dates[0], series.dates[-1]
         for start, end in rule.windows:
-            if end < start:
-                raise ValueError(f"window [{start}, {end}] is reversed")
             if end < d0 or start > d1:
                 raise ValueError(f"window [{start}, {end}] lies outside the series range")
         days = np.fromiter((d.toordinal() for d in series.dates), np.int64, len(series))

@@ -348,6 +348,34 @@ class TestEstimateCommand:
                      "--regime-rule", "sorcery:13"])
         assert code == 2
 
+    def test_reversed_window_names_the_file(self, tmp_path, capsys):
+        dates, prices = synthetic_price_history()
+        pf = tmp_path / "prices.csv"
+        write_price_csv(pf, dates, prices)
+        wf = tmp_path / "w.json"
+        wf.write_text('[["2020-03-01", "2020-02-01"]]')
+        code = main(["estimate", "--prices", str(pf), "--out", str(tmp_path / "o.json"),
+                     "--regime-rule", f"windows:{wf}"])
+        assert code == 2
+        assert capsys.readouterr().err == (
+            f"error: {wf}: invalid windows file: window [2020-03-01, 2020-02-01] is reversed\n"
+        )
+
+    @pytest.mark.parametrize(
+        "rule, reason",
+        [("threshold:abc", "could not convert string to float: 'abc'"),
+         ("threshold:-1", "cutoff must be finite and nonnegative, got -1.0"),
+         ("threshold:nan", "cutoff must be finite and nonnegative, got nan")],
+    )
+    def test_bad_threshold_names_the_rule(self, tmp_path, capsys, rule, reason):
+        dates, prices = synthetic_price_history()
+        pf = tmp_path / "prices.csv"
+        write_price_csv(pf, dates, prices)
+        out = tmp_path / "o.json"
+        assert main(["estimate", "--prices", str(pf), "--out", str(out), "--regime-rule", rule]) == 2
+        assert capsys.readouterr().err == f"error: regime rule '{rule}': {reason}\n"
+        assert not out.exists()
+
 
 class TestCalibrateCommand:
     def test_round_trip_json(self, tmp_path, model_file):
@@ -510,6 +538,63 @@ class TestPayoffSurfaceCommand:
             by_t.setdefault(r[0], []).append(float(r[2]))
         for prices in by_t.values():
             assert all(a >= b - 1e-9 for a, b in zip(prices, prices[1:]))
+
+
+class TestCsvCells:
+    """Every float cell is the repr of the library's value, bit for bit,
+    and every line ends in CRLF."""
+
+    def _cells(self, path):
+        data = path.read_bytes()
+        assert data.endswith(b"\r\n") and data.count(b"\n") == data.count(b"\r\n")
+        return _read_csv(path)
+
+    def test_price_cos(self, tmp_path, model_file):
+        mf, model = model_file
+        grid = tmp_path / "grid.csv"
+        grid.write_text("maturity,strike,kind\n1.0,18,call\n1.0,22,put\n0.5,20.5,call\n")
+        out = tmp_path / "prices.csv"
+        assert main(["price", "--model", str(mf), "--grid", str(grid), "--out", str(out)]) == 0
+        call, put = sl.OptionKind.CALL, sl.OptionKind.PUT
+        contracts = [sl.ContractSpec(18.0, 1.0, call), sl.ContractSpec(22.0, 1.0, put),
+                     sl.ContractSpec(20.5, 0.5, call)]
+        prices = sl.price_table(model, contracts)
+        _, rows = self._cells(out)
+        assert rows == [[repr(c.maturity), repr(c.strike), c.kind.value, repr(float(p)), "cos"]
+                        for c, p in zip(contracts, prices)]
+
+    def test_simulate(self, tmp_path, model_file):
+        mf, model = model_file
+        out = tmp_path / "path.csv"
+        assert main(["simulate", "--model", str(mf), "--out", str(out),
+                     "--horizon", "2", "--dt", "0.01", "--seed", "5"]) == 0
+        path = sl.simulate_path(model, 2.0, 0.01, np.random.default_rng(5))
+        _, rows = self._cells(out)
+        assert rows == [[repr(float(t)), repr(float(z)), str(int(s))]
+                        for t, z, s in zip(path.times, path.log_prices, path.regimes)]
+
+    def test_plot_cf(self, tmp_path, model_file):
+        mf, model = model_file
+        out = tmp_path / "cf.csv"
+        argv = ["plot-cf", "--model", str(mf), "--out", str(out), "--t", "0.7", "--umin", "-3", "--umax", "5",
+                "--n", "17"]
+        assert main(argv) == 0
+        u = np.linspace(-3.0, 5.0, 17)
+        phi = sl.switching_cf(sl.CharFn(model, 0.7), u)
+        _, rows = self._cells(out)
+        assert rows == [[repr(float(a)), repr(float(b.real)), repr(float(b.imag))] for a, b in zip(u, phi)]
+
+    def test_payoff_surface(self, tmp_path, model_file):
+        mf, model = model_file
+        out = tmp_path / "surface.csv"
+        argv = ["payoff-surface", "--model", str(mf), "--out", str(out), "--tmin", "0.3", "--tmax", "1.1",
+                "--nt", "3", "--kmin", "17", "--kmax", "23", "--nk", "4", "--kind", "put"]
+        assert main(argv) == 0
+        contracts = [sl.ContractSpec(float(k), float(t), sl.OptionKind.PUT)
+                     for t in np.linspace(0.3, 1.1, 3) for k in np.linspace(17.0, 23.0, 4)]
+        prices = sl.price_table(model, contracts)
+        _, rows = self._cells(out)
+        assert rows == [[repr(c.maturity), repr(c.strike), repr(float(p))] for c, p in zip(contracts, prices)]
 
 
 class TestUsageErrors:

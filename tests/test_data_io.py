@@ -68,6 +68,15 @@ class TestLoadPrices:
         assert len(load_prices(f)) == 27
 
 
+    def test_utf8_byte_order_mark_accepted(self, tmp_path):
+        """Excel's "CSV UTF-8" starts the file with a byte-order mark."""
+        f = tmp_path / "p.csv"
+        f.write_text("\ufeffdate,price\n2020-01-01,100\n2020-01-02,105\n", encoding="utf-8")
+        series = load_prices(f)
+        assert series.dates[0].isoformat() == "2020-01-02"
+        assert series.log_returns[0] == pytest.approx(math.log(1.05))
+
+
 class TestLoadQuotes:
     def test_single_row(self, tmp_path):
         f = _write(tmp_path / "q.csv", "maturity,strike,kind,mid\n1.0,20,call,2.5\n")
@@ -105,6 +114,12 @@ class TestLoadQuotes:
             load_quotes(f)
 
 
+    def test_utf8_byte_order_mark_accepted(self, tmp_path):
+        f = tmp_path / "q.csv"
+        f.write_text("\ufeffmaturity,strike,kind,mid\n1.0,20,call,2.5\n", encoding="utf-8")
+        assert load_quotes(f).rows == (sl.QuoteRow(1.0, 20.0, sl.OptionKind.CALL, 2.5),)
+
+
 class TestLoadGrid:
     def test_rows_in_file_order(self, tmp_path):
         f = _write(tmp_path / "g.csv", "maturity,strike,kind\n1.0,18,call\n\n0.5,22,PUT\n")
@@ -126,6 +141,12 @@ class TestLoadGrid:
     def test_bad_grid_rejected(self, tmp_path, text, match):
         with pytest.raises(DataError, match=match):
             load_grid(_write(tmp_path / "g.csv", text))
+
+
+    def test_utf8_byte_order_mark_accepted(self, tmp_path):
+        f = tmp_path / "g.csv"
+        f.write_text("\ufeffmaturity,strike,kind\n1.0,18,call\n", encoding="utf-8")
+        assert load_grid(f) == [sl.ContractSpec(18.0, 1.0, sl.OptionKind.CALL)]
 
 
 class TestModelFile:

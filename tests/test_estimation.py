@@ -101,6 +101,15 @@ class TestSegmentation:
         with pytest.raises(ValueError, match="reversed"):
             sl.segment_regimes(series, sl.DateWindows(((date(2021, 1, 1), date(2020, 1, 1)),)))
 
+    def test_reversed_window_rejected_when_built(self):
+        with pytest.raises(ValueError, match=r"window \[2020-03-01, 2020-02-01\] is reversed"):
+            sl.DateWindows(((date(2020, 1, 1), date(2020, 1, 5)), (date(2020, 3, 1), date(2020, 2, 1))))
+
+    @pytest.mark.parametrize("cutoff", [-0.01, float("nan"), float("inf"), float("-inf")])
+    def test_threshold_cutoff_must_be_finite_and_nonnegative(self, cutoff):
+        with pytest.raises(ValueError, match="cutoff must be finite and nonnegative"):
+            sl.AbsThreshold(cutoff)
+
     @pytest.mark.parametrize("seed", range(5))
     def test_date_windows_match_per_date_loop(self, seed):
         """Labels equal the per-date any() loop they replace, on random
