@@ -41,6 +41,19 @@ class QuoteRow:
         object.__setattr__(self, "kind", OptionKind(self.kind))
 
 
+def check_quote(row: QuoteRow) -> QuoteRow:
+    """The rule of one quote, which `QuoteTable` and `data_io.load_quotes`
+    apply alike: a finite maturity, strike and mid, maturity and strike
+    > 0 and mid >= 0. Returns row; raises ValueError otherwise."""
+    if not all(math.isfinite(v) for v in (row.maturity, row.strike, row.mid)):
+        raise ValueError(f"non-finite maturity/strike/quote in {row}")
+    if row.maturity <= 0 or row.strike <= 0:
+        raise ValueError(f"nonpositive maturity/strike in {row}")
+    if row.mid < 0:
+        raise ValueError(f"negative quote in {row}")
+    return row
+
+
 @dataclass(frozen=True)
 class QuoteTable:
     rows: tuple[QuoteRow, ...]
@@ -49,13 +62,7 @@ class QuoteTable:
         if not self.rows:
             raise ValueError("quote table must be nonempty")
         seen = set()
-        for row in self.rows:
-            if not all(math.isfinite(v) for v in (row.maturity, row.strike, row.mid)):
-                raise ValueError(f"non-finite maturity/strike/quote in {row}")
-            if row.maturity <= 0 or row.strike <= 0:
-                raise ValueError(f"nonpositive maturity/strike in {row}")
-            if row.mid < 0:
-                raise ValueError(f"negative quote in {row}")
+        for row in map(check_quote, self.rows):
             key = (row.maturity, row.strike, row.kind)
             if key in seen:
                 raise ValueError(f"duplicate quote for {key}")

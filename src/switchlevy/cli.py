@@ -26,7 +26,6 @@ from .data_io import (
 from .estimation import (
     AbsThreshold,
     EstimationError,
-    ParamBounds,
     holding_rates,
     mde_fit,
     mle_fit,
@@ -104,19 +103,18 @@ def cmd_estimate(args) -> int:
     labels = segment_regimes(series, rule)
     rates = holding_rates(labels, series.dt)
     family = Family(args.family)
-    bounds = ParamBounds()
     per_regime = split_by_regime(series, labels)
 
     fitted = {}
     for j in (1, 2):
         z = per_regime[j].log_returns
-        start = mom_fit(z, family, bounds, dt=series.dt)
+        start = mom_fit(z, family, dt=series.dt)
         if args.method == "mom":
             fit = start
         elif args.method == "mde":
-            fit = mde_fit(z, family, bounds, init=start.params, dt=series.dt)
+            fit = mde_fit(z, family, init=start.params, dt=series.dt)
         else:
-            fit = mle_fit(z, family, bounds, init=start.params, seed=args.seed, dt=series.dt)
+            fit = mle_fit(z, family, init=start.params, seed=args.seed, dt=series.dt)
         fitted[j] = fit
 
     doc = {
@@ -191,6 +189,19 @@ def cmd_payoff_surface(args) -> int:
     return 0
 
 
+# the options that several subcommands take, each declared once, so a
+# shared option means the same in every subcommand that takes it
+SHARED_OPTIONS = {
+    "--model": dict(required=True),
+    "--out": dict(required=True),
+    "--seed": dict(type=int, default=0),
+    "--dt": dict(type=float, default=TRADING_DT),
+    "--paths": dict(type=int, default=MC_PATHS),
+    "--n-terms": dict(type=int, default=CosConfig.n_terms),
+    "--family": dict(choices=["gamma", "ig"], default="gamma"),
+}
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="switchlevy",
@@ -198,63 +209,46 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    p = sub.add_parser("price", help="price a contract grid from a model file")
-    p.add_argument("--model", required=True)
+    def command(name, func, summary, *shared):
+        """A subcommand that runs func, with the shared options named."""
+        p = sub.add_parser(name, help=summary)
+        for flag in shared:
+            p.add_argument(flag, **SHARED_OPTIONS[flag])
+        p.set_defaults(func=func)
+        return p
+
+    p = command("price", cmd_price, "price a contract grid from a model file",
+                "--model", "--out", "--n-terms", "--paths", "--dt", "--seed")
     p.add_argument("--grid", required=True, help="CSV with maturity,strike,kind")
-    p.add_argument("--out", required=True)
     p.add_argument("--method", choices=["cos", "mc"], default="cos")
-    p.add_argument("--n-terms", type=int, default=CosConfig.n_terms)
-    p.add_argument("--paths", type=int, default=MC_PATHS)
-    p.add_argument("--dt", type=float, default=TRADING_DT)
-    p.add_argument("--seed", type=int, default=0)
-    p.set_defaults(func=cmd_price)
 
-    p = sub.add_parser("simulate", help="emit one simulated path as CSV")
-    p.add_argument("--model", required=True)
-    p.add_argument("--out", required=True)
+    p = command("simulate", cmd_simulate, "emit one simulated path as CSV", "--model", "--out", "--dt", "--seed")
     p.add_argument("--horizon", type=float, default=1.0)
-    p.add_argument("--dt", type=float, default=TRADING_DT)
-    p.add_argument("--seed", type=int, default=0)
-    p.set_defaults(func=cmd_simulate)
 
-    p = sub.add_parser("plot-cf", help="emit Re/Im of the characteristic function")
-    p.add_argument("--model", required=True)
-    p.add_argument("--out", required=True)
+    p = command("plot-cf", cmd_plot_cf, "emit Re/Im of the characteristic function", "--model", "--out")
     p.add_argument("--t", type=float, default=1.0)
     p.add_argument("--umin", type=float, default=-20.0)
     p.add_argument("--umax", type=float, default=20.0)
     p.add_argument("--n", type=int, default=401)
-    p.set_defaults(func=cmd_plot_cf)
 
-    p = sub.add_parser("estimate", help="fit per-regime parameters from a price CSV")
+    p = command("estimate", cmd_estimate, "fit per-regime parameters from a price CSV",
+                "--out", "--family", "--seed")
     p.add_argument("--prices", required=True)
-    p.add_argument("--out", required=True)
     p.add_argument("--method", choices=["mom", "mde", "mle"], default="mom")
-    p.add_argument("--family", choices=["gamma", "ig"], default="gamma")
     p.add_argument("--regime-rule", default="threshold:3.0",
                    help="threshold:<c> or windows:<json file>")
-    p.add_argument("--seed", type=int, default=0)
-    p.set_defaults(func=cmd_estimate)
 
-    p = sub.add_parser("calibrate", help="fit parameters to option quotes")
+    p = command("calibrate", cmd_calibrate, "fit parameters to option quotes", "--out", "--family", "--seed")
     p.add_argument("--quotes", required=True)
     p.add_argument("--market", required=True, help="JSON with s0, r, lambda12, lambda21")
-    p.add_argument("--out", required=True)
-    p.add_argument("--family", choices=["gamma", "ig"], default="gamma")
     p.add_argument("--init", help="JSON with a 'regimes' list of parameter blocks")
     p.add_argument("--max-iters", type=int, default=CalibConfig.max_iters)
     p.add_argument("--mc-paths", type=int, default=CalibConfig.mc_paths)
-    p.add_argument("--seed", type=int, default=0)
-    p.set_defaults(func=cmd_calibrate)
 
-    p = sub.add_parser("bs-check", help="Black-Scholes reduction table (COS vs BS vs MC)")
-    p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--paths", type=int, default=MC_PATHS)
-    p.set_defaults(func=cmd_bs_check)
+    command("bs-check", cmd_bs_check, "Black-Scholes reduction table (COS vs BS vs MC)", "--seed", "--paths")
 
-    p = sub.add_parser("payoff-surface", help="price a (T, K) grid for surface plots")
-    p.add_argument("--model", required=True)
-    p.add_argument("--out", required=True)
+    p = command("payoff-surface", cmd_payoff_surface, "price a (T, K) grid for surface plots",
+                "--model", "--out", "--n-terms")
     p.add_argument("--tmin", type=float, default=0.25)
     p.add_argument("--tmax", type=float, default=2.0)
     p.add_argument("--nt", type=int, default=8)
@@ -262,9 +256,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--kmax", type=float, required=True)
     p.add_argument("--nk", type=int, default=15)
     p.add_argument("--kind", choices=["call", "put"], default="call")
-    p.add_argument("--n-terms", type=int, default=CosConfig.n_terms)
-    p.set_defaults(func=cmd_payoff_surface)
-
     return parser
 
 

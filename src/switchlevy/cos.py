@@ -329,10 +329,10 @@ class _Sweep:
     and its u row k pi / W, so u has shape (M, n); a strike's interval is
     [x0 + a0, x0 + b0].
 
-    `keep` forms and holds the phases e^{-i u a0}, the entries of t Phi(u)
-    and their `_row_sum_parts`, which `price_table_jacobian` at the same
-    model, contracts and config then reuses. A sweep not kept forms the
-    phases in each `sums` call and holds nothing else.
+    The phases e^{-i u a0} are formed at construction. `keep` forms and
+    holds the entries of t Phi(u) and their `_row_sum_parts`, which
+    `price_table_jacobian` at the same model, contracts and config then
+    reuses; a sweep not kept holds neither.
     """
 
     def __init__(self, model: SwitchingModel, contracts: Sequence[ContractSpec], config: CosConfig):
@@ -346,15 +346,12 @@ class _Sweep:
         self.a0, self.b0 = truncation_interval(self.base, config)
         self.width = self.b0 - self.a0
         self.u = np.arange(config.n_terms) * np.pi / self.width
-        self.phases = self.entries = self.parts = None
+        self.phases = _powers(np.pi * -self.a0 / self.width, config.n_terms)  # e^{-i u a0}
+        self.entries = self.parts = None
 
     def keep(self) -> None:
-        self.phases = self._phases()
         self.entries = _phi_entries(self.base.model, self.base.t, self.u)
         self.parts = _row_sum_parts(*self.entries)
-
-    def _phases(self) -> np.ndarray:
-        return _powers(np.pi * -self.a0 / self.width, self.u.shape[-1])  # e^{-i u a0}
 
     def sums(self, rows: np.ndarray) -> np.ndarray:
         """Discounted cosine sums, shape (K, J), in `order`, of J rows (the
@@ -366,7 +363,7 @@ class _Sweep:
         each strike's own [a, b]: no table with a row per contract is
         formed.
         """
-        terms = np.real(rows * (self._phases() if self.phases is None else self.phases))
+        terms = np.real(rows * self.phases)
         terms[..., 0] *= 0.5
         a, b = (self.x0 + x.repeat(self.counts) for x in (self.a0, self.b0))
         return self.disc[:, None] * _payoff_sums(terms, self.strikes, a, b, self.width, self.counts)

@@ -1,7 +1,7 @@
 """File formats: every file the command line reads or writes.
 
 Inputs, each rejected with a DataError that names the file (and, for a
-CSV row, its line); a CSV may start with a UTF-8 byte-order mark:
+CSV row, its line):
 - price CSV `date,price` (`load_prices`): a daily history;
 - quote CSV `maturity,strike,kind,mid` (`load_quotes`): option quotes;
 - grid CSV `maturity,strike,kind` (`load_grid`): contracts to price;
@@ -12,6 +12,9 @@ CSV row, its line); a CSV may start with a UTF-8 byte-order mark:
 - init JSON (`load_init`): a "regimes" list of two parameter blocks, the
   start of a calibration;
 - window JSON (`load_windows`): a list of [start, end] ISO date pairs.
+A CSV is UTF-8 and may start with a byte-order mark. It is decoded whole
+before its rows are read, so a byte that is not UTF-8 is rejected with
+the line that holds it.
 
 Outputs: a CSV table with a header row (`write_csv`), and a JSON document
 with 2-space indent, sorted keys and a trailing newline (`write_json`).
@@ -34,6 +37,7 @@ The command line's layouts:
 from __future__ import annotations
 
 import csv
+import io
 import json
 import math
 from datetime import date
@@ -41,7 +45,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .calibration import CalibContext, QuoteRow, QuoteTable
+from .calibration import CalibContext, QuoteRow, QuoteTable, check_quote
 from .cos import ContractSpec, OptionKind
 from .estimation import DateWindows, ReturnSeries
 from .regime import TRADING_DT, Family, RegimeParams, SwitchingModel
@@ -58,24 +62,29 @@ class DataError(ValueError):
 def _csv_rows(path, columns: tuple[str, ...], parse) -> list:
     """parse(row) for each nonblank data row of a CSV whose header starts
     with columns; a short row, or a ValueError from parse, raises a
-    DataError that names the file and line."""
+    DataError that names the file and line. The whole file is decoded
+    first, so a byte that is not UTF-8 raises one that names its line."""
     expected = ",".join(columns)
-    with open(path, newline="", encoding="utf-8-sig") as fh:
-        reader = csv.reader(fh)
-        header = next(reader, None)
-        if header is None or [c.strip().lower() for c in header[: len(columns)]] != list(columns):
-            raise DataError(f"{path}: expected header '{expected}', got {header}")
-        parsed = []
-        for lineno, row in enumerate(reader, start=2):
-            if not any(c.strip() for c in row):
-                continue
-            try:
-                if len(row) < len(columns):
-                    raise ValueError(f"expected '{expected}', got {row}")
-                parsed.append(parse(row))
-            except ValueError as exc:
-                raise DataError(f"{path} line {lineno}: {exc}") from exc
-        return parsed
+    try:
+        text = Path(path).read_bytes().decode("utf-8-sig")
+    except UnicodeDecodeError as exc:  # exc.object: the bytes after a byte-order mark
+        lineno = exc.object.count(b"\n", 0, exc.start) + 1
+        raise DataError(f"{path} line {lineno}: {exc}") from exc
+    reader = csv.reader(io.StringIO(text, newline=""))
+    header = next(reader, None)
+    if header is None or [c.strip().lower() for c in header[: len(columns)]] != list(columns):
+        raise DataError(f"{path}: expected header '{expected}', got {header}")
+    parsed = []
+    for lineno, row in enumerate(reader, start=2):
+        if not any(c.strip() for c in row):
+            continue
+        try:
+            if len(row) < len(columns):
+                raise ValueError(f"expected '{expected}', got {row}")
+            parsed.append(parse(row))
+        except ValueError as exc:
+            raise DataError(f"{path} line {lineno}: {exc}") from exc
+    return parsed
 
 
 def load_prices(path) -> ReturnSeries:
@@ -111,8 +120,8 @@ def load_quotes(path) -> QuoteTable:
     rows = _csv_rows(
         path,
         ("maturity", "strike", "kind", "mid"),
-        lambda row: QuoteRow(
-            float(row[0]), float(row[1]), OptionKind(row[2].strip().lower()), float(row[3])
+        lambda row: check_quote(
+            QuoteRow(float(row[0]), float(row[1]), OptionKind(row[2].strip().lower()), float(row[3]))
         ),
     )
     try:

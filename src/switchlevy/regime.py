@@ -262,20 +262,14 @@ def simulate_regime_path(
         raise ValueError("horizon must be > 0")
     check_finite_intensities(model.lambda12, model.lambda21)
     times: list[float] = []
-    states = [1]
     t = 0.0
-    state = 1
-    while True:
-        rate = model.intensity_leaving(state)
-        if rate == 0.0:
-            break
+    rates = (model.lambda12, model.lambda21)  # in regime 1 after an even number of switches
+    while (rate := rates[len(times) % 2]) > 0.0:
         t += rng.exponential(1.0 / rate)
         if t >= horizon:
             break
         times.append(t)
-        state = 2 if state == 1 else 1
-        states.append(state)
-    return RegimePath(np.array(times), np.array(states, dtype=np.int64))
+    return RegimePath(np.array(times), 1 + np.arange(len(times) + 1, dtype=np.int64) % 2)
 
 
 def occupation_fraction(path: RegimePath, horizon: float) -> float:

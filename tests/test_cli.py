@@ -10,7 +10,7 @@ import numpy as np
 import pytest
 
 import switchlevy as sl
-from switchlevy.cli import main
+from switchlevy.cli import build_parser, main
 from switchlevy.data_io import save_model
 
 from conftest import rn_regime, synthetic_price_history, write_price_csv
@@ -606,3 +606,133 @@ class TestUsageErrors:
 
     def test_no_arguments(self):
         assert main([]) == 2
+
+
+# each subcommand's options: flag -> (type, default, choices, required, help)
+REQUIRED = (None, None, None, True, None)
+SEED = (int, 0, None, False, None)
+OPTION_TABLES = {
+    "price": {
+        "--model": REQUIRED,
+        "--grid": (None, None, None, True, "CSV with maturity,strike,kind"),
+        "--out": REQUIRED,
+        "--method": (None, "cos", ["cos", "mc"], False, None),
+        "--n-terms": (int, 512, None, False, None),
+        "--paths": (int, 100_000, None, False, None),
+        "--dt": (float, 1 / 250, None, False, None),
+        "--seed": SEED,
+    },
+    "simulate": {
+        "--model": REQUIRED,
+        "--out": REQUIRED,
+        "--horizon": (float, 1.0, None, False, None),
+        "--dt": (float, 1 / 250, None, False, None),
+        "--seed": SEED,
+    },
+    "plot-cf": {
+        "--model": REQUIRED,
+        "--out": REQUIRED,
+        "--t": (float, 1.0, None, False, None),
+        "--umin": (float, -20.0, None, False, None),
+        "--umax": (float, 20.0, None, False, None),
+        "--n": (int, 401, None, False, None),
+    },
+    "estimate": {
+        "--prices": REQUIRED,
+        "--out": REQUIRED,
+        "--method": (None, "mom", ["mom", "mde", "mle"], False, None),
+        "--family": (None, "gamma", ["gamma", "ig"], False, None),
+        "--regime-rule": (None, "threshold:3.0", None, False, "threshold:<c> or windows:<json file>"),
+        "--seed": SEED,
+    },
+    "calibrate": {
+        "--quotes": REQUIRED,
+        "--market": (None, None, None, True, "JSON with s0, r, lambda12, lambda21"),
+        "--out": REQUIRED,
+        "--family": (None, "gamma", ["gamma", "ig"], False, None),
+        "--init": (None, None, None, False, "JSON with a 'regimes' list of parameter blocks"),
+        "--max-iters": (int, 1000, None, False, None),
+        "--mc-paths": (int, 20_000, None, False, None),
+        "--seed": SEED,
+    },
+    "bs-check": {
+        "--seed": SEED,
+        "--paths": (int, 100_000, None, False, None),
+    },
+    "payoff-surface": {
+        "--model": REQUIRED,
+        "--out": REQUIRED,
+        "--tmin": (float, 0.25, None, False, None),
+        "--tmax": (float, 2.0, None, False, None),
+        "--nt": (int, 8, None, False, None),
+        "--kmin": (float, None, None, True, None),
+        "--kmax": (float, None, None, True, None),
+        "--nk": (int, 15, None, False, None),
+        "--kind": (None, "call", ["call", "put"], False, None),
+        "--n-terms": (int, 512, None, False, None),
+    },
+}
+
+
+class TestOptionTables:
+    """Every subcommand takes the options of OPTION_TABLES and no others,
+    each with its flag, type, default (and the default's type), choices,
+    `required` and help; only their order is free."""
+
+    @staticmethod
+    def _subcommands():
+        parser = build_parser()
+        return next(a for a in parser._actions if a.dest == "command").choices
+
+    def test_subcommands(self):
+        assert set(self._subcommands()) == set(OPTION_TABLES)
+
+    @pytest.mark.parametrize("command", list(OPTION_TABLES))
+    def test_options(self, command):
+        table = {}
+        for action in self._subcommands()[command]._actions:
+            if action.dest != "help":
+                assert len(action.option_strings) == 1, action.option_strings
+                table[action.option_strings[0]] = (
+                    action.type, action.default, type(action.default), action.choices, action.required, action.help
+                )
+        expected = {
+            flag: (kind, default, type(default), choices, required, text)
+            for flag, (kind, default, choices, required, text) in OPTION_TABLES[command].items()
+        }
+        assert table == expected
+
+
+class TestCsvEncoding:
+    """An input CSV that is not UTF-8 exits 2 with an error that names the
+    file and the line holding the first bad byte."""
+
+    LATIN1 = "café".encode("latin-1")
+
+    def test_prices(self, tmp_path, capsys):
+        prices = tmp_path / "prices.csv"
+        prices.write_bytes(b"date,price\n2020-01-01,100\n2020-01-02,101 # " + self.LATIN1 + b"\n")
+        code = main(["estimate", "--prices", str(prices), "--out", str(tmp_path / "fit.json")])
+        assert code == 2
+        assert f"{prices} line 3" in capsys.readouterr().err
+        assert not (tmp_path / "fit.json").exists()
+
+    def test_quotes(self, tmp_path, capsys):
+        quotes = tmp_path / "quotes.csv"
+        quotes.write_bytes(b"maturity,strike,kind,mid\r\n1.0,20,call,2.0\r\n1.0,21," + self.LATIN1 + b",1.5\r\n")
+        market = tmp_path / "market.json"
+        market.write_text(json.dumps({"s0": 20.0, "r": 0.04, "lambda12": 2.5, "lambda21": 1.0}))
+        code = main(["calibrate", "--quotes", str(quotes), "--market", str(market),
+                     "--out", str(tmp_path / "o.json")])
+        assert code == 2
+        assert f"{quotes} line 3" in capsys.readouterr().err
+        assert not (tmp_path / "o.json").exists()
+
+    def test_grid(self, tmp_path, capsys, model_file):
+        grid = tmp_path / "grid.csv"
+        grid.write_bytes(b"maturity,strike,kind # " + self.LATIN1 + b"\n1.0,20,call\n")
+        code = main(["price", "--model", str(model_file[0]), "--grid", str(grid),
+                     "--out", str(tmp_path / "p.csv")])
+        assert code == 2
+        assert f"{grid} line 1" in capsys.readouterr().err
+        assert not (tmp_path / "p.csv").exists()

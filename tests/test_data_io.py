@@ -108,6 +108,18 @@ class TestLoadQuotes:
         with pytest.raises(DataError, match="non-finite"):
             load_quotes(f)
 
+    @pytest.mark.parametrize(
+        "row, reason",
+        [("1,nan,call,2", "non-finite maturity/strike/quote"),
+         ("1,-20,call,2", "nonpositive maturity/strike"),
+         ("1,20,call,-1", "negative quote")],
+    )
+    def test_bad_value_reports_line(self, tmp_path, row, reason):
+        f = _write(tmp_path / "q.csv", f"maturity,strike,kind,mid\n{row}\n")
+        with pytest.raises(DataError) as info:
+            load_quotes(f)
+        assert str(info.value).startswith(f"{f} line 2: {reason} in QuoteRow(")
+
     def test_unknown_kind_rejected(self, tmp_path):
         f = _write(tmp_path / "q.csv", "maturity,strike,kind,mid\n1.0,20,straddle,2.5\n")
         with pytest.raises(DataError, match="line 2"):

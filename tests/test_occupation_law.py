@@ -112,3 +112,76 @@ def test_identity_clock_prices_match_the_exact_law(l12, l21):
             w * _bs_given_tau(model, k, t, kind, tau) for tau, w in zip(x, fw)
         )
         assert price == pytest.approx(exact, abs=1e-10)
+
+
+def _exact_identity_price(model, contract):
+    """The atom's Black-Scholes price plus the integral of f times the
+    Black-Scholes price given tau, under the law of the model's intensities."""
+    k, t, kind = contract.strike, contract.maturity, contract.kind
+    atom, x, fw = _law(model.lambda12, model.lambda21, t)
+    return atom * _bs_given_tau(model, k, t, kind, t) + sum(
+        w * _bs_given_tau(model, k, t, kind, tau) for tau, w in zip(x, fw)
+    )
+
+
+@pytest.mark.parametrize("l21", [1.0, 10.0])
+@pytest.mark.parametrize("start", [1, 2])
+def test_identity_clock_prices_with_an_absorbing_regime_one(start, l21):
+    """l12 = 0: regime 1 absorbs. Started there, the path never leaves it
+    (tau = T, an atom of mass one), so every price is Black-Scholes at
+    sigma1. A start in regime 2 is the model relabelled, regimes swapped and
+    intensities swapped: l12 = l21 > 0 and l21 = 0, whose law has the atom
+    e^(-l12 T) and the density l12 e^(-l12 x)."""
+    r = 0.03
+    regimes = tuple(sl.RegimeParams(r - 0.5 * s * s, s, 1.0, 1.0) for s in (0.2, 0.6))
+    if start == 1:
+        model = sl.SwitchingModel(regimes, 0.0, l21, sl.Family.IDENTITY, 20.0, r)
+    else:
+        model = sl.SwitchingModel(regimes[::-1], l21, 0.0, sl.Family.IDENTITY, 20.0, r)
+    contracts = [
+        sl.ContractSpec(k, t, kind)
+        for t in (0.25, 1.0, 2.0)
+        for k in (14.0, 17.0, 20.0, 23.0, 26.0)
+        for kind in (sl.OptionKind.CALL, sl.OptionKind.PUT)
+    ]
+    prices = sl.price_table(model, contracts)
+    for contract, price in zip(contracts, prices):
+        assert price == pytest.approx(_exact_identity_price(model, contract), abs=1e-10)
+
+
+def _occupation_model(l12, l21):
+    """Identity clock, mu = (1, 0) and sigma = 1e-12: the terminal value
+    Z_T = tau + sigma1 W(tau) + sigma2 W'(T - tau) is tau to ~1e-12."""
+    regimes = (sl.RegimeParams(1.0, 1e-12, 1.0, 1.0), sl.RegimeParams(0.0, 1e-12, 1.0, 1.0))
+    return sl.SwitchingModel(regimes, l12, l21, sl.Family.IDENTITY, 20.0, 0.0)
+
+
+def _frozen_occupation(l12, l21, t, n_paths):
+    sampler = sl.FrozenTerminalSampler(sl.Family.IDENTITY, l12, l21, t, n_paths, seed=16)
+    return sampler.evaluate(*_occupation_model(l12, l21).regimes)
+
+
+def _marched_occupation(l12, l21, t, n_paths):
+    model = _occupation_model(l12, l21)
+    return sl.sample_terminal(model, t, n_paths, sl.TRADING_DT, np.random.default_rng(17))
+
+
+@pytest.mark.parametrize("sample", [_frozen_occupation, _marched_occupation], ids=["frozen", "sample_terminal"])
+def test_sampled_occupation_time_follows_the_exact_law(sample):
+    """Each sampler's tau against the law: the largest gap between the
+    empirical and the exact CDF at 199 points of (0, T) stays below
+    1.95/sqrt(n), the 0.1% level of the Kolmogorov statistic, and the share
+    of paths that never switch (tau = T) is within 4 binomial standard
+    errors of the atom e^(-l12 T)."""
+    l12, l21, t, n = 2.5, 1.0, 1.0, 100_000
+    tau = np.sort(sample(l12, l21, t, n))
+    points = t * np.arange(1, 200) / 200
+    exact = np.empty_like(points)
+    for i, x in enumerate(points):
+        nodes, weights = _quadrature(x)
+        exact[i] = weights @ _density(l12, l21, t, nodes)
+    empirical = np.searchsorted(tau, points, side="right") / n
+    assert np.abs(empirical - exact).max() < 1.95 / math.sqrt(n)
+    atom = math.exp(-l12 * t)
+    never_switched = np.mean(tau > t - 1e-9)
+    assert abs(never_switched - atom) <= 4.0 * math.sqrt(atom * (1.0 - atom) / n)
