@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import argparse
+import itertools
 import sys
 
 import numpy as np
@@ -65,11 +66,23 @@ def cmd_price(args) -> int:
     return 0
 
 
+# grid points per block of `cmd_simulate`'s rows: Python lists of 2^16
+# points take about 5 MB, where whole-path lists grow with the horizon
+SIMULATE_BLOCK_ROWS = 1 << 16
+
+
 def cmd_simulate(args) -> int:
+    """Simulate one path and write it, turning SIMULATE_BLOCK_ROWS grid
+    points at a time into Python rows as the writer asks for them; the
+    path is complete before the file is opened."""
     model = load_model(args.model)
     rng = np.random.default_rng(args.seed)
     path = simulate_path(model, args.horizon, args.dt, rng)
-    rows = zip(path.times.tolist(), path.log_prices.tolist(), path.regimes.tolist())
+    columns = (path.times, path.log_prices, path.regimes)
+    rows = itertools.chain.from_iterable(
+        zip(*(col[lo : lo + SIMULATE_BLOCK_ROWS].tolist() for col in columns))
+        for lo in range(0, len(path.times), SIMULATE_BLOCK_ROWS)
+    )
     write_csv(args.out, ["time", "log_price", "regime"], rows)
     print(f"wrote {len(path.times)} grid points to {args.out}")
     return 0

@@ -75,7 +75,9 @@ def _csv_rows(path, columns: tuple[str, ...], parse) -> list:
     if header is None or [c.strip().lower() for c in header[: len(columns)]] != list(columns):
         raise DataError(f"{path}: expected header '{expected}', got {header}")
     parsed = []
-    for lineno, row in enumerate(reader, start=2):
+    start = reader.line_num + 1  # physical line where the next record starts
+    for row in reader:
+        lineno, start = start, reader.line_num + 1
         if not any(c.strip() for c in row):
             continue
         try:
@@ -162,8 +164,8 @@ def write_json(path, doc) -> None:
 
 
 def write_csv(path, header, rows) -> None:
-    """Write a header row and then rows; form the rows before calling, so a
-    run that fails leaves no file."""
+    """Write a header row and then rows, a list or an iterator; form
+    whatever can fail before calling, so a run that fails leaves no file."""
     with open(path, "w", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(header)

@@ -208,14 +208,18 @@ def empirical_cf(returns, u):
     return complex(out[0]) if np.ndim(u) == 0 else out
 
 
-# (point, sample) pairs per block of `_kernel_mean`
-_KERNEL_BLOCK_PAIRS = int(2e7)
+# (point, sample) pairs per block of `_kernel_mean`: 2^16 pairs make 1 MiB
+# per complex temporary, so the kernels' memory does not grow with the data
+_KERNEL_BLOCK_PAIRS = 1 << 16
 
 
 def _kernel_mean(kernel, x, n_samples: int, dtype) -> np.ndarray:
     """kernel(blk).mean(axis=1) for the points x (scalar or 1-D), taken in
     blocks of about _KERNEL_BLOCK_PAIRS point-sample pairs: blk is a column
-    of points, and kernel maps it to a (points, n_samples) array."""
+    of points, and kernel maps it to a (points, n_samples) array. A block
+    is at least one whole row, so each point's mean is the same reduction
+    over all samples and the result has the bits of one block; a sample
+    longer than the block takes one row of n_samples pairs at a time."""
     x_arr = np.atleast_1d(np.asarray(x, dtype=float))
     out = np.empty(x_arr.shape, dtype=dtype)
     chunk = max(1, _KERNEL_BLOCK_PAIRS // n_samples)

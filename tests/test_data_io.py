@@ -52,6 +52,13 @@ class TestLoadPrices:
         with pytest.raises(DataError, match="line 3"):
             load_prices(f)
 
+    def test_line_counts_physical_lines_of_quoted_fields(self, tmp_path):
+        """A quoted field that spans two lines: the bad row after it is on
+        physical line 4, its record number being 3."""
+        f = _write(tmp_path / "p.csv", 'date,price\n2020-01-01,"100\n"\n2020-01-02,oops\n')
+        with pytest.raises(DataError, match="line 4"):
+            load_prices(f)
+
     def test_nonincreasing_dates(self, tmp_path):
         f = _write(tmp_path / "p.csv", "date,price\n2020-01-02,100\n2020-01-01,105\n")
         with pytest.raises(DataError, match="increasing"):

@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 from datetime import date
 
 import numpy as np
@@ -194,6 +195,36 @@ class TestEmpiricalCf:
         phi = sl.empirical_cf(z, u)
         assert np.all(np.abs(phi) <= 1 + 1e-12)
         np.testing.assert_allclose(phi, np.conj(phi[::-1]), atol=1e-12)
+
+
+class TestKernelBlocks:
+    """`empirical_cf` and `kde` take their (point, sample) pairs in blocks
+    of whole rows, so any block size gives the bits of one block."""
+
+    @pytest.mark.parametrize("block", [1, 10**12])
+    @pytest.mark.parametrize("n", [2, 7, 3000, 70_000])
+    def test_block_size_keeps_the_bits(self, monkeypatch, block, n):
+        z = 0.02 * np.random.default_rng(n).standard_normal(n) + 0.001
+        u = np.linspace(-60.0, 60.0, 97)
+        x = np.linspace(-0.08, 0.08, 53)
+        default = (sl.empirical_cf(z, u), sl.kde(z, x), sl.empirical_cf(z, 3.0), sl.kde(z, 0.01))
+        monkeypatch.setattr(sl.estimation, "_KERNEL_BLOCK_PAIRS", block)
+        blocked = (sl.empirical_cf(z, u), sl.kde(z, x), sl.empirical_cf(z, 3.0), sl.kde(z, 0.01))
+        assert all(np.array_equal(b, d) for b, d in zip(blocked, default))
+
+    def test_ecf_memory_does_not_grow_with_the_sample(self):
+        """50,000 returns at the 64 Gauss-Hermite nodes of `mde_fit`: one
+        block of all pairs would hold 51 MB per complex temporary."""
+        z = 0.02 * np.random.default_rng(41).standard_normal(50_000)
+        u = math.sqrt(2.0) * sl.estimation._GH_NODES
+        sl.empirical_cf(z[:100], u)  # warm up
+        tracemalloc.start()
+        try:
+            sl.empirical_cf(z, u)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 8 * 2**20
 
 
 class TestMomentSystem:

@@ -1,6 +1,7 @@
 import re
 import sys
 import threading
+import tracemalloc
 from types import SimpleNamespace
 
 import numpy as np
@@ -311,6 +312,63 @@ class TestSplitGammaInverse:
 
     def test_real_cpu_count_is_positive(self):
         assert sl.subordinators._usable_cpus() >= 1
+
+
+class TestChunkedIgTransform:
+    """The IG increments of more than _IG_CHUNK draws, transformed chunk by
+    chunk, equal one call of the transform bit for bit."""
+
+    CHUNK = sl.subordinators._IG_CHUNK
+
+    @staticmethod
+    def _one_shot(spec, dt, nu, z):
+        dt = np.asarray(dt, dtype=float)
+        mean = spec.alpha * dt / spec.beta
+        return sl.subordinators._ig_transform(mean, (spec.alpha * dt) ** 2, nu, z)
+
+    @pytest.mark.parametrize("n", [0, 1, CHUNK - 1, CHUNK, CHUNK + 1, 65_536])
+    @pytest.mark.parametrize("per_path_dt", [False, True])
+    def test_equals_one_call(self, n, per_path_dt):
+        rng = np.random.default_rng(n)
+        nu, z = rng.standard_normal(n), rng.random(n)
+        nu[: min(n, 2)] = (40.0, 1e-9)[: min(n, 2)]  # the clamped and the near-mean root
+        dt = rng.uniform(1e-4, 0.5, n) if per_path_dt else 0.25
+        spec = _spec(IG, 1.7, 2.3)
+        expected = self._one_shot(spec, dt, nu, z)
+        got = increment_from_draws(spec, dt, None, nu, z)
+        assert got.shape == expected.shape == (n,)
+        assert np.array_equal(got, expected)
+
+    def test_sample_increment_with_size(self):
+        spec = _spec(IG, 0.8, 2.0)
+        got = sl.sample_increment(spec, 0.5, np.random.default_rng(9), size=3 * self.CHUNK + 5)
+        rng = np.random.default_rng(9)
+        nu = rng.standard_normal(got.size)
+        assert np.array_equal(got, self._one_shot(spec, 0.5, nu, rng.random(got.size)))
+
+    def test_two_dimensional_draws(self):
+        rng = np.random.default_rng(10)
+        nu, z, dt = rng.standard_normal((3, 5000)), rng.random((3, 5000)), rng.uniform(0.1, 1.0, 5000)
+        spec = _spec(IG, 0.6, 1.5)
+        got = increment_from_draws(spec, dt, None, nu, z)
+        assert got.shape == (3, 5000)
+        assert np.array_equal(got, self._one_shot(spec, dt, nu, z))
+
+    def test_memory_does_not_grow_with_the_paths(self):
+        """65,536 per-path increments: beyond their inputs, one call of the
+        transform peaks at seven arrays of that size (3.7 MB)."""
+        rng = np.random.default_rng(11)
+        n = 65_536
+        nu, z, dt = rng.standard_normal(n), rng.random(n), rng.uniform(1e-3, 0.5, n)
+        spec = _spec(IG, 1.7, 2.3)
+        increment_from_draws(spec, dt[:100], None, nu[:100], z[:100])  # warm up
+        tracemalloc.start()
+        try:
+            increment_from_draws(spec, dt, None, nu, z)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 2 * 2**20
 
 
 class TestFamilyByValue:
