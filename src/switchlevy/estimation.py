@@ -209,7 +209,8 @@ def empirical_cf(returns, u):
 
 
 # (point, sample) pairs per block of `_kernel_mean`: 2^16 pairs make 1 MiB
-# per complex temporary, so the kernels' memory does not grow with the data
+# per complex temporary. A block holds at least one whole row, so past 2^16
+# samples a block is one row and the memory grows linearly with the sample
 _KERNEL_BLOCK_PAIRS = 1 << 16
 
 

@@ -173,9 +173,9 @@ def increment_from_draws(spec: SubordinatorSpec, dt, u, nu, z):
     inverse CDF), (nu, z) standard normal/uniform (IG transform). The
     Gamma inverse CDF of a large array runs split across the usable CPUs
     (`_gammaincinv`), with the same bits as one serial call. The IG
-    transform of more than _IG_CHUNK draws runs chunk by chunk into one
-    output array (`_ig_increments`), so its temporaries stay the size of a
-    chunk, again with the bits of one call.
+    transform runs _IG_CHUNK draws at a time into one output array
+    (`_ig_increments`), so its temporaries stay the size of a chunk, again
+    with the bits of one call.
     """
     dt = np.asarray(dt, dtype=float)
     if spec.family is Family.IDENTITY:
@@ -198,20 +198,23 @@ def _ig_increments(spec: SubordinatorSpec, dt: np.ndarray, nu, z):
     mean alpha*dt/beta and shape (alpha*dt)^2, _IG_CHUNK elements at a
     time into one output array. Every step is elementwise, so each element
     has the bits of one call over all of them: a scalar dt is used as it
-    is, arrays are read one flat slice per chunk. Up to _IG_CHUNK elements
-    it is the one call."""
-
-    def transform(dt, nu, z):
-        return _ig_transform(spec.alpha * dt / spec.beta, (spec.alpha * dt) ** 2, nu, z)
-
+    is, arrays are read one flat slice per chunk. An input that must be
+    broadcast to the draws' shape is copied once at full size."""
     draws = np.broadcast(dt, nu, z)
-    if draws.size <= _IG_CHUNK:
-        return transform(dt, nu, z)
-    args = [x if np.ndim(x) == 0 else np.broadcast_to(x, draws.shape).reshape(-1) for x in (dt, nu, z)]
+
+    def flat(x):
+        if np.ndim(x) == 0:
+            return x
+        if np.shape(x) != draws.shape:
+            x = np.broadcast_to(x, draws.shape)  # the reshape copies it
+        return np.reshape(x, -1)
+
+    args = [flat(x) for x in (dt, nu, z)]
     out = np.empty(draws.size)
     for lo in range(0, draws.size, _IG_CHUNK):
         part = slice(lo, lo + _IG_CHUNK)
-        out[part] = transform(*(x if np.ndim(x) == 0 else x[part] for x in args))
+        dt_part, nu_part, z_part = (x if np.ndim(x) == 0 else x[part] for x in args)
+        out[part] = _ig_transform(spec.alpha * dt_part / spec.beta, (spec.alpha * dt_part) ** 2, nu_part, z_part)
     return out.reshape(draws.shape)
 
 

@@ -339,6 +339,13 @@ class TestChunkedIgTransform:
         assert got.shape == expected.shape == (n,)
         assert np.array_equal(got, expected)
 
+    def test_scalar_draws(self):
+        spec = _spec(IG, 1.7, 2.3)
+        got = increment_from_draws(spec, 0.25, None, 0.7, 0.4)
+        expected = self._one_shot(spec, 0.25, 0.7, 0.4)
+        assert np.shape(got) == np.shape(expected) == ()
+        assert np.array_equal(got, expected)
+
     def test_sample_increment_with_size(self):
         spec = _spec(IG, 0.8, 2.0)
         got = sl.sample_increment(spec, 0.5, np.random.default_rng(9), size=3 * self.CHUNK + 5)
@@ -347,11 +354,14 @@ class TestChunkedIgTransform:
         assert np.array_equal(got, self._one_shot(spec, 0.5, nu, rng.random(got.size)))
 
     def test_two_dimensional_draws(self):
+        """More than one chunk of 2-D draws, with a per-column dt that is
+        broadcast across the rows."""
         rng = np.random.default_rng(10)
-        nu, z, dt = rng.standard_normal((3, 5000)), rng.random((3, 5000)), rng.uniform(0.1, 1.0, 5000)
+        nu, z, dt = rng.standard_normal((3, 6000)), rng.random((3, 6000)), rng.uniform(0.1, 1.0, 6000)
+        assert nu.size > self.CHUNK
         spec = _spec(IG, 0.6, 1.5)
         got = increment_from_draws(spec, dt, None, nu, z)
-        assert got.shape == (3, 5000)
+        assert got.shape == (3, 6000)
         assert np.array_equal(got, self._one_shot(spec, dt, nu, z))
 
     def test_memory_does_not_grow_with_the_paths(self):
