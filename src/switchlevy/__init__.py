@@ -1,12 +1,14 @@
 """Regime-switching time-changed Levy pricing for energy options.
 
-The functions that run a solver import scipy.optimize when they are called,
-so importing the package and pricing with set drifts do not load it, and no
-module imports scipy.stats: each would add 17-23 MB and 0.2-0.6 s to every
-run. Pricing, COS or Monte Carlo, loads no scipy.linalg either: the COS
-cumulants are closed forms in the regime occupation time
-(tests/test_footprint.py).
-"""
+A scipy submodule is imported only in the function that calls it, so
+importing the package, COS pricing and Monte Carlo pricing load numpy
+alone: a fresh process that imports the package takes 0.13 s and 30 MB,
+against 0.30 s and 54 MB with scipy.special loaded at import.
+scipy.special comes with `bs_closed_form` and the Gamma inverse CDF of
+the frozen sampler, scipy.optimize with the solvers
+(`risk_neutral_drift`, the fits and `calibrate`). No module imports
+scipy.stats or scipy.linalg: the COS cumulants are closed forms in the
+regime occupation time (tests/test_footprint.py)."""
 
 from .calibration import (
     CalibConfig,

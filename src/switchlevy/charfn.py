@@ -306,9 +306,12 @@ def risk_neutral_drift(params: RegimeParams, family: Family, r: float) -> float:
     finding in mu (Psi(-i) is strictly increasing in mu). For the IG
     family a solution requires beta >= r/alpha; otherwise the needed
     exponential moment does not exist. At beta = r/alpha the root is the
-    closed end beta^2/2 of the exponent's domain, where ell = alpha beta;
-    the search below stops short of it, so a root it cannot bracket is
-    taken there.
+    closed end beta^2/2 of the exponent's domain, where ell = alpha beta:
+    the residual takes that value at any point that rounds onto or past
+    the end, and the search below stops short of it, so a root it cannot
+    bracket is taken there. Near the edge ell's slope is huge, so the
+    root is accepted on brentq's own convergence check (a RuntimeError if
+    it fails), not on the size of the residual.
     """
     from scipy.optimize import brentq
 
@@ -323,10 +326,13 @@ def risk_neutral_drift(params: RegimeParams, family: Family, r: float) -> float:
             f"(beta={params.beta}, r/alpha={r / params.alpha})"
         )
 
+    sup = real_domain_sup(spec)
+
     def resid(mu: float) -> float:
+        if spec.family is Family.INVERSE_GAUSSIAN and mu + half_var >= sup:
+            return params.alpha * params.beta - r  # ell(beta^2/2) = alpha beta
         return float(np.real(laplace_exponent(spec, mu + half_var))) - r
 
-    sup = real_domain_sup(spec)
     # Bracket the root: resid decreases to -inf as mu -> -inf and increases
     # toward +inf (Gamma) or alpha*beta - r >= 0 (IG) as mu + sigma^2/2
     # approaches the domain supremum.
@@ -354,10 +360,7 @@ def risk_neutral_drift(params: RegimeParams, family: Family, r: float) -> float:
                 f"(family={spec.family.value}, r={r})"
             )
 
-    mu = brentq(resid, lo, hi, xtol=1e-15, rtol=8.9e-16, maxiter=200)
-    if abs(resid(mu)) > 1e-10:
-        raise RuntimeError(f"martingale residual {resid(mu)} above tolerance")
-    return float(mu)
+    return float(brentq(resid, lo, hi, xtol=1e-15, rtol=8.9e-16, maxiter=200))
 
 
 def esscher_tilt(params: RegimeParams, family: Family, theta: float):

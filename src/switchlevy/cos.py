@@ -25,7 +25,6 @@ from enum import Enum
 from typing import Sequence
 
 import numpy as np
-from scipy.special import ndtr
 
 from .charfn import (
     CharFn,
@@ -202,13 +201,6 @@ def price_contract(
     return float(price_table(model, [contract], config)[0])
 
 
-def _by_maturity(contracts: Sequence[ContractSpec]) -> dict[float, list[int]]:
-    by_t: dict[float, list[int]] = {}
-    for i, c in enumerate(contracts):
-        by_t.setdefault(c.maturity, []).append(i)
-    return by_t
-
-
 def _split_powers(theta, n_terms: int) -> tuple[np.ndarray, np.ndarray]:
     """The powers e^{ik theta}, k < n_terms, as two short factor tables.
 
@@ -321,13 +313,14 @@ class _Sweep:
     """The CF sweep of a grid of contracts over its maturities at y0 = 0,
     which `price_table` and `price_table_jacobian` sum alike (`sums`).
 
-    The contracts are taken in `_by_maturity` groups: `order` holds their
-    input positions, and strikes, x0 = log(s0/K) and disc (the discount
-    factors) follow it. The M maturities form an (M, 1) array of horizons
-    of the CF `base`. Maturity m has the interval [a0, b0] of the log
-    return (`truncation_interval` of base, automatic or user), its width W
-    and its u row k pi / W, so u has shape (M, n); a strike's interval is
-    [x0 + a0, x0 + b0].
+    The contracts are grouped by maturity, in order of first appearance:
+    `order` holds their input positions and `counts` the group sizes, and
+    strikes, the call flags `is_call`, x0 = log(s0/K) and disc (the
+    discount factors) follow it. The M maturities form an (M, 1) array of
+    horizons of the CF `base`. Maturity m has the interval [a0, b0] of the
+    log return (`truncation_interval` of base, automatic or user), its
+    width W and its u row k pi / W, so u has shape (M, n); a strike's
+    interval is [x0 + a0, x0 + b0].
 
     The phases e^{-i u a0} are formed at construction. `keep` forms and
     holds the entries of t Phi(u) and their `_row_sum_parts`, which
@@ -336,10 +329,14 @@ class _Sweep:
     """
 
     def __init__(self, model: SwitchingModel, contracts: Sequence[ContractSpec], config: CosConfig):
-        by_t = _by_maturity(contracts)
+        by_t: dict[float, list[int]] = {}
+        for i, c in enumerate(contracts):
+            by_t.setdefault(c.maturity, []).append(i)
         self.order = [i for idx in by_t.values() for i in idx]
         self.counts = [len(idx) for idx in by_t.values()]
+        call = OptionKind.CALL
         self.strikes = np.array([contracts[i].strike for i in self.order])
+        self.is_call = np.array([contracts[i].kind is call for i in self.order])
         self.x0 = np.log(model.s0 / self.strikes)
         self.disc = np.array([math.exp(-model.r * t) for t in by_t]).repeat(self.counts)
         self.base = CharFn(model, np.array(list(by_t))[:, None], y0=0.0)
@@ -394,8 +391,7 @@ def price_table(
         _sweep.append(sweep)
         cf = _row_sum(*sweep.entries, parts=sweep.parts)
     puts = _guard_put_sums(sweep.sums(cf[:, None, :])[:, 0], sweep.strikes)
-    is_call = np.array([contracts[i].kind is OptionKind.CALL for i in sweep.order])
-    prices[sweep.order] = np.where(is_call, puts + model.s0 - sweep.strikes * sweep.disc, puts)
+    prices[sweep.order] = np.where(sweep.is_call, puts + model.s0 - sweep.strikes * sweep.disc, puts)
     return prices
 
 
@@ -437,7 +433,10 @@ def bs_closed_form(
     s0: float, strike: float, r: float, sigma: float, maturity: float, kind: OptionKind
 ) -> float:
     """Black-Scholes reference price (oracle for the identity reduction);
-    kind may be given by its string value."""
+    kind may be given by its string value. Imports scipy.special's ndtr
+    when called, so that COS pricing loads no scipy."""
+    from scipy.special import ndtr
+
     kind = OptionKind(kind)
     if min(s0, strike, maturity) <= 0 or sigma < 0:
         raise ValueError("inputs must be positive (sigma >= 0)")

@@ -21,7 +21,6 @@ from collections.abc import Callable
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import special
 
 from .regime import Family, RegimeParams
 
@@ -222,6 +221,8 @@ def _ig_increments(spec: SubordinatorSpec, dt: np.ndarray, nu, z):
 # thread costs about 0.2 ms, gammaincinv about 1.4 us per element at a ~ 0.01
 _SPLIT_CHUNK = 2048
 
+special = None  # scipy.special, imported by the first `_gammaincinv`
+
 
 def _usable_cpus() -> int:
     """CPUs this process may run on: its affinity mask where there is one."""
@@ -266,18 +267,20 @@ def _gammaincinv(a, u):
     _SPLIT_CHUNK) contiguous chunks, each inverted into its slice of one
     output array (`_run_ranges`). gammaincinv is elementwise and releases
     the GIL, so every element gets the bits of the serial call. One chunk
-    is the plain call.
+    runs on the calling thread. scipy.special is imported at the first
+    call; Monte Carlo pricing draws its Gamma increments from numpy and
+    never loads it.
     """
+    global special
+    if special is None:
+        from scipy import special
     shape = np.broadcast_shapes(np.shape(a), np.shape(u))
     size = math.prod(shape)
-    ranges = _split_ranges(size, _SPLIT_CHUNK)
-    if len(ranges) == 1:
-        return special.gammaincinv(a, u)
     a, u = (np.broadcast_to(np.asarray(x, dtype=float), shape).reshape(-1) for x in (a, u))
     out = np.empty(size)
 
     def invert(lo: int, hi: int) -> None:
         special.gammaincinv(a[lo:hi], u[lo:hi], out=out[lo:hi])
 
-    _run_ranges(invert, ranges)
+    _run_ranges(invert, _split_ranges(size, _SPLIT_CHUNK))
     return out.reshape(shape)

@@ -466,6 +466,17 @@ class TestRiskNeutralDrift:
         resid = a * (b - math.sqrt(max(b * b - 2.0 * x, 0.0))) - r
         assert resid <= 1e-10 and abs(resid) <= 1e-9
 
+    def test_ig_edge_sweep_matches_closed_form(self):
+        """beta = (r/alpha)(1 + eps) for eps = 0 and 400 log-spaced eps in
+        [1e-15, 1e-3]: near the edge the bracket reaches the closed end
+        beta^2/2, where ell = alpha beta, and ell's slope is huge, yet every
+        drift is the closed form (r/alpha)(beta - r/(2 alpha)) - sigma^2/2."""
+        s, a, r = 0.1, 5.0, 0.01
+        for eps in (0.0, *np.logspace(-15, -3, 400)):
+            b = (r / a) * (1 + eps)
+            mu = sl.risk_neutral_drift(sl.RegimeParams(0.0, s, a, b), IG, r)
+            assert abs(mu - ((r / a) * (b - r / (2 * a)) - s**2 / 2)) <= 1e-14, eps
+
     def test_ig_without_exponential_moment(self):
         prm = sl.RegimeParams(0.0, 0.1, 0.1, 0.2)  # beta < r/alpha = 0.4
         with pytest.raises(ValueError, match="beta >= r/alpha"):

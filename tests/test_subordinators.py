@@ -282,12 +282,13 @@ class TestSplitGammaInverse:
         got = increment_from_draws(_spec(GAMMA, 0.8, 2.0), 0.5, 0.3, None, None)
         assert got == special.gammaincinv(0.4, 0.3) / 2.0
 
-    def test_two_dimensional_draws(self, monkeypatch):
+    @pytest.mark.parametrize("paths, chunks", [(5000, 3), (500, 1)])
+    def test_two_dimensional_draws(self, monkeypatch, paths, chunks):
         rng = np.random.default_rng(3)
-        u, dt = rng.random((3, 5000)), rng.uniform(0.1, 1.0, 5000)
+        u, dt = rng.random((3, paths)), rng.uniform(0.1, 1.0, paths)
         calls = self._recording(monkeypatch, 3)
         got = increment_from_draws(_spec(GAMMA, 0.2, 1.0), dt, u, None, None)
-        assert len(calls) == 3
+        assert len(calls) == chunks
         assert np.array_equal(got, special.gammaincinv(0.2 * dt, u))
 
     @pytest.mark.parametrize("fail_on", ["caller", "worker"])
